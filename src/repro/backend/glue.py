@@ -305,10 +305,7 @@ class CompiledFilter:
             except _ConstantOverflow:
                 if self._fallback_filter is None:
                     self._fallback_filter = self.constant_fallback()
-                    self._fallback_filter.profile = self.profile
                 self._fallback_filter.injector = self.injector
-                self._fallback_filter.sanitizer = self.sanitizer
-                self._fallback_filter.exec_tier = self.exec_tier
                 if record.deferred is not None:
                     record.deferred.flush(self.profile.tracer)
                 return self._fallback_filter(record.value)

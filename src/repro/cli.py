@@ -143,6 +143,22 @@ def cmd_tune(args):
 WALL_DEADLINE_EXIT = 124
 
 
+def _abort_run(reason, message, status):
+    """Append an ``aborted`` record to the active journal (if any), so
+    ``--resume`` continues from the last completed item, then exit with
+    ``status``."""
+    import os
+
+    from repro.runtime.journal import active_journal
+
+    journal = active_journal()
+    if journal is not None:
+        journal.record_aborted(reason)
+    sys.stderr.write("repro run: {}\n".format(message))
+    sys.stderr.flush()
+    os._exit(status)
+
+
 def _start_wall_watchdog(deadline_ms):
     """Arm a wall-clock watchdog: after ``deadline_ms`` real
     milliseconds the process appends an ``aborted`` record to the
@@ -150,26 +166,17 @@ def _start_wall_watchdog(deadline_ms):
     becomes a journaled clean abort a later ``--resume`` picks up
     from, never an unkillable process. Returns the timer; callers
     ``cancel()`` it on normal completion."""
-    import os
     import threading
 
-    def _expire():
-        from repro.runtime.journal import active_journal
-
-        journal = active_journal()
-        if journal is not None:
-            journal.record_aborted(
-                "wall deadline {} ms exceeded".format(deadline_ms)
-            )
-        sys.stderr.write(
-            "repro run: wall deadline of {} ms exceeded, aborting\n".format(
-                deadline_ms
-            )
-        )
-        sys.stderr.flush()
-        os._exit(WALL_DEADLINE_EXIT)
-
-    timer = threading.Timer(deadline_ms / 1000.0, _expire)
+    timer = threading.Timer(
+        deadline_ms / 1000.0,
+        _abort_run,
+        [
+            "wall deadline {} ms exceeded".format(deadline_ms),
+            "wall deadline of {} ms exceeded, aborting".format(deadline_ms),
+            WALL_DEADLINE_EXIT,
+        ],
+    )
     timer.daemon = True
     timer.start()
     return timer
@@ -181,152 +188,171 @@ def _install_run_signal_handlers():
     ``--resume`` continues from the last completed item) and exits with
     the conventional ``128 + signum`` status (143 for SIGTERM, 130 for
     SIGINT) — mirroring the ``--wall-deadline-ms`` watchdog's 124."""
-    import os
     import signal
 
     def _handler(signum, _frame):
-        from repro.runtime.journal import active_journal
-
         name = signal.Signals(signum).name
-        journal = active_journal()
-        if journal is not None:
-            journal.record_aborted("terminated by {}".format(name))
-        sys.stderr.write(
-            "repro run: {} received, aborting (journaled)\n".format(name)
+        _abort_run(
+            "terminated by {}".format(name),
+            "{} received, aborting (journaled)".format(name),
+            128 + signum,
         )
-        sys.stderr.flush()
-        os._exit(128 + signum)
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _handler)
 
 
-def _parse_device_list(text):
-    """Comma-separated device keys -> list, or None + printed error."""
-    from repro.opencl.device import DEVICES
+def _refuse(message, choices):
+    """Print ``message (choose from: CHOICES)`` to stderr."""
+    print(
+        "{} (choose from: {})".format(message, ", ".join(sorted(choices))),
+        file=sys.stderr,
+    )
 
-    devices = [d.strip() for d in text.split(",") if d.strip()]
-    unknown = [d for d in devices if d not in DEVICES]
-    if unknown:
+
+def _parse_device_specs(specs, flag, want, parse):
+    """Repeated NAME:REST fault flags -> dict mapping the device key to
+    ``parse(REST)``, or None + printed error."""
+    out = {}
+    for spec in specs or []:
+        name, _, rest = spec.partition(":")
+        try:
+            out[name] = parse(rest)
+        except ValueError:
+            print(
+                "bad {} spec '{}' (want {})".format(flag, spec, want),
+                file=sys.stderr,
+            )
+            return None
+    return out
+
+
+def _kill_after(text):
+    """``--kill-device``'s ``[N]``: launches survived, default 0."""
+    return int(text) if text else 0
+
+
+def _slowdown(text):
+    """``--slow-device``'s ``FACTOR[:N]`` -> (factor >= 1.0, N)."""
+    factor, _, after = text.partition(":")
+    slow = (float(factor), int(after) if after else 0)
+    if slow[0] < 1.0:
+        raise ValueError(factor)
+    return slow
+
+
+# Fault flag (argparse dest) -> FaultFlags field.
+_FAULT_FLAGS = {
+    "faults": "fault_rate",
+    "fault_seed": "seed",
+    "silent_faults": "silent_rate",
+    "validate_every": "validate_every",
+    "breaker_cooloff": "cooloff",
+    "oom_bytes": "oom_bytes",
+    "slow_ramp": "slow_ramp",
+    "latency_jitter": "jitter",
+}
+
+
+def run_spec(args):
+    """The :class:`repro.evaluation.harness.RunSpec` of ``run``,
+    ``serve`` or ``serve-bench`` — the one place their flags become
+    fleet devices, a fleet policy, a sanitizer and fault flags. A flag
+    the subcommand does not declare keeps the spec's default. Prints
+    the problem and returns None on a bad value."""
+    from repro.evaluation.harness import (
+        TARGETS,
+        FaultFlags,
+        RunSpec,
+        resolve_fleet_policy,
+    )
+    from repro.opencl.device import DEVICES
+    from repro.runtime.sanitizer import SanitizerConfig
+
+    flags = vars(args)
+    if args.target not in TARGETS:
+        _refuse("unknown target '{}'".format(args.target), TARGETS)
+        return None
+    devices = None
+    if args.devices:
+        devices = [d.strip() for d in args.devices.split(",") if d.strip()]
+        unknown = [d for d in devices if d not in DEVICES]
+        if unknown:
+            _refuse("unknown device(s) {}".format(", ".join(unknown)), DEVICES)
+            return None
+    kill_devices = _parse_device_specs(
+        args.kill_device, "--kill-device", "NAME or NAME:N", _kill_after
+    )
+    if kill_devices is None:
+        return None
+    slow_devices = _parse_device_specs(
+        flags.get("slow_device"),
+        "--slow-device",
+        "NAME:FACTOR or NAME:FACTOR:N with FACTOR >= 1.0",
+        _slowdown,
+    )
+    if slow_devices is None:
+        return None
+    # Only fleet members carry a device key for faults to target.
+    named = set(kill_devices) | set(slow_devices)
+    strays = sorted(named - set(devices or ()))
+    if strays:
         print(
-            "unknown device(s) {} (choose from: {})".format(
-                ", ".join(unknown), ", ".join(sorted(DEVICES))
-            ),
+            "--kill-device/--slow-device name(s) {} not in --devices "
+            "({})".format(", ".join(strays), args.devices or "none given"),
             file=sys.stderr,
         )
         return None
-    return devices
-
-
-def _parse_kill_specs(specs):
-    """Repeated NAME[:N] kill flags -> dict, or None + printed error."""
-    kill_devices = {}
-    for spec in specs or []:
-        name, _, after = spec.partition(":")
-        try:
-            kill_devices[name] = int(after) if after else 0
-        except ValueError:
-            print(
-                "bad --kill-device spec '{}' (want NAME or NAME:N)".format(
-                    spec
-                ),
-                file=sys.stderr,
-            )
-            return None
-    return kill_devices
-
-
-def _parse_slow_specs(specs):
-    """Repeated NAME:FACTOR[:N] straggler flags -> dict mapping the
-    device key to (factor, after), or None + printed error."""
-    slow_devices = {}
-    for spec in specs or []:
-        name, _, rest = spec.partition(":")
-        factor, _, after = rest.partition(":")
-        try:
-            slow_devices[name] = (
-                float(factor),
-                int(after) if after else 0,
-            )
-            if slow_devices[name][0] < 1.0:
-                raise ValueError(factor)
-        except ValueError:
-            print(
-                "bad --slow-device spec '{}' (want NAME:FACTOR or "
-                "NAME:FACTOR:N with FACTOR >= 1.0)".format(spec),
-                file=sys.stderr,
-            )
-            return None
-    return slow_devices
+    policy = None
+    if devices:
+        policy = resolve_fleet_policy(
+            flags.get("fleet_policy"),
+            schedule=flags.get("fleet_schedule"),
+            hedge=flags.get("hedge"),
+            hedge_quantile=flags.get("hedge_quantile"),
+            hedge_factor=flags.get("hedge_factor"),
+            redundancy=flags.get("redundancy"),
+        )
+    return RunSpec(
+        target=args.target,
+        devices=devices,
+        fleet_policy=policy,
+        scale=args.scale,
+        steps=flags.get("steps"),
+        max_sim_items=args.max_sim_items,
+        exec_tier=flags.get("exec_tier"),
+        sanitizer=SanitizerConfig.from_flags(
+            sanitize=flags.get("sanitize", False),
+            deadline_ns=flags.get("deadline_ns"),
+            validate_every=flags.get("validate_every", 0),
+        ),
+        fuse=flags.get("fuse"),
+        faults=FaultFlags(
+            kill_devices=kill_devices,
+            slow_devices=slow_devices,
+            **{
+                field: flags[flag]
+                for flag, field in _FAULT_FLAGS.items()
+                if flag in flags
+            },
+        ),
+    )
 
 
 def cmd_run(args):
     from repro.apps.registry import ALL_BENCHMARKS
-    from repro.evaluation.harness import TARGETS, run_configuration
+    from repro.evaluation.harness import run_configuration
     from repro.evaluation.report import executor_report, failure_report
-    from repro.runtime.resilience import ResiliencePolicy
-    from repro.runtime.sanitizer import SanitizerConfig
 
     _install_run_signal_handlers()
     if args.benchmark not in ALL_BENCHMARKS:
-        print(
-            "unknown benchmark '{}' (choose from: {})".format(
-                args.benchmark, ", ".join(sorted(ALL_BENCHMARKS))
-            ),
-            file=sys.stderr,
+        _refuse(
+            "unknown benchmark '{}'".format(args.benchmark), ALL_BENCHMARKS
         )
         return 1
-    if args.target not in TARGETS:
-        print(
-            "unknown target '{}' (choose from: {})".format(
-                args.target, ", ".join(sorted(TARGETS))
-            ),
-            file=sys.stderr,
-        )
+    spec = run_spec(args)
+    if spec is None:
         return 1
-    devices = None
-    if args.devices:
-        devices = _parse_device_list(args.devices)
-        if devices is None:
-            return 1
-    kill_devices = _parse_kill_specs(args.kill_device)
-    if kill_devices is None:
-        return 1
-    slow_devices = _parse_slow_specs(args.slow_device)
-    if slow_devices is None:
-        return 1
-    fleet_policy = args.fleet_policy
-    if args.hedge != "off" or args.redundancy != "off":
-        from repro.runtime.resilience import FleetPolicy
-
-        # The tail-tolerance knobs live on the FleetPolicy so the
-        # journal's run key captures them (a hedged run refuses to
-        # resume as an un-hedged one and vice versa).
-        fleet_policy = FleetPolicy(
-            policy=args.fleet_policy,
-            hedge=args.hedge,
-            hedge_quantile=args.hedge_quantile,
-            hedge_factor=args.hedge_factor,
-            redundancy=args.redundancy,
-        )
-    sanitizer = SanitizerConfig.from_flags(
-        sanitize=args.sanitize,
-        deadline_ns=args.deadline_ns,
-        validate_every=args.validate_every,
-    )
-    resilience = ResiliencePolicy.from_flags(
-        fault_rate=args.faults,
-        seed=args.fault_seed,
-        validate_every=args.validate_every,
-        cooloff=args.breaker_cooloff,
-        silent_rate=args.silent_faults,
-        sanitize=args.sanitize or args.deadline_ns is not None,
-        kill_devices=kill_devices,
-        oom_bytes=args.oom_bytes,
-        slow_devices=slow_devices,
-        slow_ramp=args.slow_ramp,
-        jitter=args.latency_jitter,
-    )
     tracer = None
     if args.trace_out is not None:
         from repro.runtime.tracing import Tracer
@@ -349,20 +375,10 @@ def cmd_run(args):
         watchdog = _start_wall_watchdog(args.wall_deadline_ms)
     result = run_configuration(
         ALL_BENCHMARKS[args.benchmark],
-        args.target,
-        scale=args.scale,
-        steps=args.steps,
-        resilience=resilience,
-        max_sim_items=args.max_sim_items,
-        sanitizer=sanitizer,
-        exec_tier=args.exec_tier,
+        spec,
         tracer=tracer,
-        devices=devices,
-        fleet_policy=fleet_policy,
-        fleet_schedule=args.fleet_schedule,
         journal=args.journal,
         resume=args.resume,
-        fuse=args.fuse,
     )
     if watchdog is not None:
         watchdog.cancel()
@@ -373,6 +389,7 @@ def cmd_run(args):
 
         atomic_write_json(args.json, dataclasses.asdict(result))
     print("benchmark: {}  target: {}".format(result.benchmark, result.target))
+    sanitizer = spec.sanitizer
     if sanitizer is not None:
         knobs = []
         if sanitizer.instruments_launch():
@@ -491,30 +508,16 @@ def cmd_run(args):
 
 def cmd_serve(args):
     from repro.apps.registry import BENCHMARKS
-    from repro.evaluation.harness import TARGETS
     from repro.serving.server import ServeConfig, ServeDaemon
     from repro.serving.session import SessionSpec
 
-    if args.target not in TARGETS:
-        print(
-            "unknown target '{}' (choose from: {})".format(
-                args.target, ", ".join(sorted(TARGETS))
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    devices = None
-    if args.devices:
-        devices = _parse_device_list(args.devices)
-        if devices is None:
-            return 1
-    kill_devices = _parse_kill_specs(args.kill_device)
-    if kill_devices is None:
+    spec = run_spec(args)
+    if spec is None:
         return 1
     specs = []
     for text in args.session or []:
         try:
-            spec = SessionSpec.parse(
+            session = SessionSpec.parse(
                 text,
                 scale=args.scale,
                 steps=args.steps,
@@ -523,16 +526,15 @@ def cmd_serve(args):
         except ValueError as err:
             print("bad --session: {}".format(err), file=sys.stderr)
             return 1
-        if spec.benchmark not in BENCHMARKS:
-            print(
-                "unknown benchmark '{}' in --session {} (choose from: "
-                "{})".format(
-                    spec.benchmark, text, ", ".join(sorted(BENCHMARKS))
+        if session.benchmark not in BENCHMARKS:
+            _refuse(
+                "unknown benchmark '{}' in --session {}".format(
+                    session.benchmark, text
                 ),
-                file=sys.stderr,
+                BENCHMARKS,
             )
             return 1
-        specs.append(spec)
+        specs.append(session)
     if args.serve_dir:
         import os
 
@@ -543,24 +545,12 @@ def cmd_serve(args):
         print("--resume requires --serve-dir DIR", file=sys.stderr)
         return 1
     config = ServeConfig(
-        devices=devices,
-        target=args.target,
-        fleet_policy=args.fleet_policy,
-        fleet_schedule=args.fleet_schedule,
-        hedge=args.hedge,
+        run=spec,
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
         tenant_max_inflight=args.tenant_max_inflight,
         tenant_sim_budget_ns=args.tenant_sim_budget_ns,
-        max_sim_items=args.max_sim_items,
-        exec_tier=args.exec_tier,
         session_deadline_ms=args.session_deadline_ms,
-        fault_rate=args.faults,
-        fault_seed=args.fault_seed,
-        validate_every=args.validate_every,
-        breaker_cooloff=args.breaker_cooloff,
-        kill_devices=kill_devices,
-        oom_bytes=args.oom_bytes,
         serve_dir=args.serve_dir,
         resume=args.resume,
     )
@@ -623,38 +613,33 @@ def cmd_serve(args):
     return 1 if failed else 0
 
 
-def cmd_serve_bench(args):
+def _unknown_benchmarks(names):
+    """Print the names that are not Table 3 benchmarks; True if any."""
     from repro.apps.registry import BENCHMARKS
+
+    unknown = [name for name in names if name not in BENCHMARKS]
+    if unknown:
+        _refuse(
+            "unknown benchmark(s) {}".format(", ".join(unknown)), BENCHMARKS
+        )
+    return bool(unknown)
+
+
+def cmd_serve_bench(args):
     from repro.serving.loadgen import serving_bench
 
-    unknown = [name for name in args.apps or [] if name not in BENCHMARKS]
-    if unknown:
-        print(
-            "unknown benchmark(s) {} (choose from: {})".format(
-                ", ".join(unknown), ", ".join(sorted(BENCHMARKS))
-            ),
-            file=sys.stderr,
-        )
+    if _unknown_benchmarks(args.apps or []):
         return 1
-    devices = _parse_device_list(args.devices)
-    if devices is None:
-        return 1
-    kill_devices = _parse_kill_specs(args.kill_device)
-    if kill_devices is None:
+    spec = run_spec(args)
+    if spec is None:
         return 1
     payload = serving_bench(
+        spec,
         sessions=args.sessions,
         tenants=args.tenants,
         apps=args.apps or None,
-        scale=args.scale,
-        devices=devices,
-        target=args.target,
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
-        max_sim_items=args.max_sim_items,
-        fault_rate=args.faults,
-        fault_seed=args.fault_seed,
-        kill_devices=kill_devices or None,
         out_path=args.out,
     )
     for phase in ("clean", "chaos"):
@@ -689,14 +674,7 @@ def cmd_bench(args):
     from repro.evaluation.perfbench import format_bench, run_bench
 
     apps = args.apps or sorted(BENCHMARKS)
-    unknown = [name for name in apps if name not in BENCHMARKS]
-    if unknown:
-        print(
-            "unknown benchmark(s) {} (choose from: {})".format(
-                ", ".join(unknown), ", ".join(sorted(BENCHMARKS))
-            ),
-            file=sys.stderr,
-        )
+    if _unknown_benchmarks(apps):
         return 1
     results = run_bench(
         apps=apps,
@@ -791,6 +769,122 @@ def cmd_figures(args):
     return 0
 
 
+def _spec_flags():
+    """The run-shaping flags ``run``, ``serve`` and ``serve-bench`` all
+    take. A fresh parser per subcommand: argparse shares a parent's
+    actions with its children, so ``serve-bench``'s ``set_defaults``
+    would otherwise change the other subcommands' defaults too."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--target", default="gtx580")
+    flags.add_argument("--scale", type=float, default=0.3)
+    flags.add_argument(
+        "--devices",
+        default=None,
+        help="comma-separated device keys (e.g. gtx580,hd5970): offload "
+        "to a health-scheduled multi-device fleet with transparent "
+        "failover instead of the single --target device (serve: one "
+        "fleet shared by every session)",
+    )
+    flags.add_argument(
+        "--max-sim-items",
+        type=int,
+        default=None,
+        help="cap on simulated work-items per launch (default 2048; "
+        "also settable via REPRO_MAX_SIM_ITEMS)",
+    )
+    flags.add_argument(
+        "--faults",
+        type=float,
+        default=0.0,
+        help="per-stage fault-injection probability (0 disables; faults "
+        "are recovered by retry/backoff and transparent host fallback; "
+        "serve: per session; serve-bench: chaos phase)",
+    )
+    flags.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the deterministic fault injector",
+    )
+    flags.add_argument(
+        "--kill-device",
+        action="append",
+        default=None,
+        metavar="NAME[:N]",
+        help="fault injection: device NAME (one of --devices) fails "
+        "every launch after its first N (default 0 = from the start); "
+        "repeatable, for fleet failover drills (serve-bench: chaos "
+        "phase, default the first fleet device after 3 launches)",
+    )
+    return flags
+
+
+def _run_serve_flags():
+    """The flags ``run`` and ``serve`` share, with the same defaults."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--fleet-policy",
+        choices=["health", "round-robin"],
+        default="health",
+        help="fleet placement strategy: rank devices by observed health "
+        "(median kernel time + fault history) or rotate round-robin",
+    )
+    flags.add_argument(
+        "--fleet-schedule",
+        choices=["concurrent", "sequential"],
+        default="concurrent",
+        help="fleet dispatch schedule: overlap independent stream items "
+        "across per-device command queues (concurrent, the default) or "
+        "keep one item in flight fleet-wide (sequential) — results are "
+        "bit-exact either way, only the simulated makespan differs",
+    )
+    flags.add_argument(
+        "--hedge",
+        choices=["off", "on"],
+        default="off",
+        help="tail tolerance: duplicate a straggling launch on the "
+        "next-best queue once it exceeds its latency budget; first "
+        "completion wins, the loser is cancelled with its queue "
+        "cursor credited (concurrent fleet schedule only; serve: "
+        "sessions near their --session-deadline-ms hedge eagerly; see "
+        "docs/HEDGING.md)",
+    )
+    flags.add_argument(
+        "--steps", type=int, default=None, help="stream depth override"
+    )
+    flags.add_argument(
+        "--exec-tier",
+        choices=["auto", "batch", "per-item"],
+        default=None,
+        help="execution tier for kernel launches (default: "
+        "REPRO_EXEC_TIER, then auto — batch where eligible)",
+    )
+    flags.add_argument(
+        "--validate-every",
+        type=int,
+        default=0,
+        help="differential validation: re-run every Nth stream item on "
+        "the host interpreter and compare (0 disables)",
+    )
+    flags.add_argument(
+        "--breaker-cooloff",
+        type=int,
+        default=None,
+        help="successful host runs after which an open circuit breaker "
+        "half-opens and probes the device again (default: demotion is "
+        "permanent)",
+    )
+    flags.add_argument(
+        "--oom-bytes",
+        type=int,
+        default=0,
+        help="fault injection: deterministic device memory ceiling — any "
+        "single launch allocating more bytes raises a device OOM, which "
+        "the glue recovers via NDRange-partitioned relaunch (0 = off)",
+    )
+    return flags
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -840,50 +934,19 @@ def build_parser():
 
     run_cmd = sub.add_parser(
         "run",
+        parents=[_spec_flags(), _run_serve_flags()],
         help="run one benchmark end to end, optionally with fault "
         "injection, and print the stage breakdown + failure ledger",
     )
     run_cmd.add_argument("benchmark", help="a Table 3 benchmark name")
-    run_cmd.add_argument("--target", default="gtx580")
-    run_cmd.add_argument(
-        "--devices",
-        default=None,
-        help="comma-separated device keys (e.g. gtx580,hd5970): offload "
-        "to a health-scheduled multi-device fleet with transparent "
-        "failover instead of the single --target device",
-    )
-    run_cmd.add_argument(
-        "--fleet-policy",
-        choices=["health", "round-robin"],
-        default="health",
-        help="fleet placement strategy: rank devices by observed health "
-        "(median kernel time + fault history) or rotate round-robin",
-    )
-    run_cmd.add_argument(
-        "--fleet-schedule",
-        choices=["concurrent", "sequential"],
-        default="concurrent",
-        help="fleet dispatch schedule: overlap independent stream items "
-        "across per-device command queues (concurrent, the default) or "
-        "keep one item in flight fleet-wide (sequential) — results are "
-        "bit-exact either way, only the simulated makespan differs",
-    )
-    run_cmd.add_argument(
-        "--kill-device",
-        action="append",
-        default=None,
-        metavar="NAME[:N]",
-        help="fault injection: device NAME fails every launch after its "
-        "first N (default 0 = from the start); repeatable, for fleet "
-        "failover drills",
-    )
     run_cmd.add_argument(
         "--slow-device",
         action="append",
         default=None,
         metavar="NAME:FACTOR[:N]",
-        help="fault injection: device NAME's kernel launches take "
-        "FACTOR x their modeled time starting at its launch N "
+        help="fault injection: device NAME's (one of --devices) kernel "
+        "launches take FACTOR x their modeled time starting at its "
+        "launch N "
         "(default 0 = from the start); repeatable — the seedable "
         "straggler model behind health demotion and hedged launches",
     )
@@ -902,16 +965,6 @@ def build_parser():
         help="fault injection: add up to this fraction of each kernel "
         "launch's modeled time as deterministic per-device timing "
         "noise (0 disables)",
-    )
-    run_cmd.add_argument(
-        "--hedge",
-        choices=["off", "on"],
-        default="off",
-        help="tail tolerance: duplicate a straggling launch on the "
-        "next-best queue once it exceeds its latency budget; first "
-        "completion wins, the loser is cancelled with its queue "
-        "cursor credited (concurrent fleet schedule only, see "
-        "docs/HEDGING.md)",
     )
     run_cmd.add_argument(
         "--hedge-quantile",
@@ -937,31 +990,6 @@ def build_parser():
         "machinery (catches silent corruption deterministically)",
     )
     run_cmd.add_argument(
-        "--oom-bytes",
-        type=int,
-        default=0,
-        help="fault injection: deterministic device memory ceiling — any "
-        "single launch allocating more bytes raises a device OOM, which "
-        "the glue recovers via NDRange-partitioned relaunch (0 = off)",
-    )
-    run_cmd.add_argument("--scale", type=float, default=0.3)
-    run_cmd.add_argument(
-        "--steps", type=int, default=None, help="stream depth override"
-    )
-    run_cmd.add_argument(
-        "--faults",
-        type=float,
-        default=0.0,
-        help="per-stage fault-injection probability (0 disables; faults "
-        "are recovered by retry/backoff and transparent host fallback)",
-    )
-    run_cmd.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic fault injector",
-    )
-    run_cmd.add_argument(
         "--silent-faults",
         type=float,
         default=0.0,
@@ -981,35 +1009,6 @@ def build_parser():
         default=None,
         help="per-launch watchdog deadline in simulated ns (implies "
         "instrumented launches)",
-    )
-    run_cmd.add_argument(
-        "--validate-every",
-        type=int,
-        default=0,
-        help="differential validation: re-run every Nth stream item on "
-        "the host interpreter and compare (0 disables)",
-    )
-    run_cmd.add_argument(
-        "--breaker-cooloff",
-        type=int,
-        default=None,
-        help="successful host runs after which an open circuit breaker "
-        "half-opens and probes the device again (default: demotion is "
-        "permanent)",
-    )
-    run_cmd.add_argument(
-        "--max-sim-items",
-        type=int,
-        default=None,
-        help="cap on simulated work-items per launch (default 2048; "
-        "also settable via REPRO_MAX_SIM_ITEMS)",
-    )
-    run_cmd.add_argument(
-        "--exec-tier",
-        choices=["auto", "batch", "per-item"],
-        default=None,
-        help="execution tier for kernel launches (default: "
-        "REPRO_EXEC_TIER, then auto — batch where eligible)",
     )
     run_cmd.add_argument(
         "--fuse",
@@ -1068,6 +1067,7 @@ def build_parser():
 
     serve_cmd = sub.add_parser(
         "serve",
+        parents=[_spec_flags(), _run_serve_flags()],
         help="multi-tenant serving daemon: run many named sessions "
         "concurrently on a shared device fleet with admission control, "
         "load shedding, and a journaled SIGTERM drain",
@@ -1094,46 +1094,6 @@ def build_parser():
         help="re-admit every session persisted in --serve-dir by a "
         "previous (drained or killed) daemon and replay their journals "
         "bit-exactly",
-    )
-    serve_cmd.add_argument(
-        "--devices",
-        default=None,
-        help="comma-separated device keys shared by every session as "
-        "one health-scheduled fleet (default: single --target device "
-        "per session)",
-    )
-    serve_cmd.add_argument("--target", default="gtx580")
-    serve_cmd.add_argument(
-        "--fleet-policy", choices=["health", "round-robin"], default="health"
-    )
-    serve_cmd.add_argument(
-        "--fleet-schedule",
-        choices=["concurrent", "sequential"],
-        default="concurrent",
-        help="fleet dispatch schedule shared by every session: overlap "
-        "items across per-device command queues (concurrent) or one "
-        "item in flight fleet-wide (sequential)",
-    )
-    serve_cmd.add_argument(
-        "--hedge",
-        choices=["off", "on"],
-        default="off",
-        help="tail tolerance on the shared fleet: duplicate straggling "
-        "launches on the next-best queue; sessions near their "
-        "--session-deadline-ms hedge eagerly (docs/HEDGING.md)",
-    )
-    serve_cmd.add_argument("--scale", type=float, default=0.3)
-    serve_cmd.add_argument(
-        "--steps", type=int, default=None, help="stream depth override"
-    )
-    serve_cmd.add_argument(
-        "--max-sim-items",
-        type=int,
-        default=None,
-        help="cap on simulated work-items per launch",
-    )
-    serve_cmd.add_argument(
-        "--exec-tier", choices=["auto", "batch", "per-item"], default=None
     )
     serve_cmd.add_argument(
         "--max-concurrency",
@@ -1177,29 +1137,6 @@ def build_parser():
         "scripted stand-in for an operator's SIGTERM)",
     )
     serve_cmd.add_argument(
-        "--faults",
-        type=float,
-        default=0.0,
-        help="per-stage fault-injection probability per session",
-    )
-    serve_cmd.add_argument("--fault-seed", type=int, default=0)
-    serve_cmd.add_argument(
-        "--validate-every",
-        type=int,
-        default=0,
-        help="differential validation every Nth stream item",
-    )
-    serve_cmd.add_argument("--breaker-cooloff", type=int, default=None)
-    serve_cmd.add_argument(
-        "--kill-device",
-        action="append",
-        default=None,
-        metavar="NAME[:N]",
-        help="chaos: device NAME fails every launch after its first N "
-        "in each session (repeatable)",
-    )
-    serve_cmd.add_argument("--oom-bytes", type=int, default=0)
-    serve_cmd.add_argument(
         "--json",
         default=None,
         metavar="FILE",
@@ -1209,6 +1146,7 @@ def build_parser():
 
     serve_bench_cmd = sub.add_parser(
         "serve-bench",
+        parents=[_spec_flags()],
         help="serving load generator: clean vs chaos phases over the "
         "same workload; writes BENCH_serving.json",
     )
@@ -1221,35 +1159,19 @@ def build_parser():
     serve_bench_cmd.add_argument(
         "--tenants", type=int, default=2, help="tenants to spread them over"
     )
-    serve_bench_cmd.add_argument("--scale", type=float, default=0.2)
-    serve_bench_cmd.add_argument(
-        "--devices",
-        default="gtx580,hd5970",
-        help="comma-separated fleet device keys",
-    )
-    serve_bench_cmd.add_argument("--target", default="gtx580")
     serve_bench_cmd.add_argument("--max-concurrency", type=int, default=4)
     serve_bench_cmd.add_argument("--queue-depth", type=int, default=16)
-    serve_bench_cmd.add_argument("--max-sim-items", type=int, default=256)
-    serve_bench_cmd.add_argument(
-        "--faults",
-        type=float,
-        default=0.05,
-        help="chaos-phase fault-injection probability",
-    )
-    serve_bench_cmd.add_argument("--fault-seed", type=int, default=1234)
-    serve_bench_cmd.add_argument(
-        "--kill-device",
-        action="append",
-        default=None,
-        metavar="NAME[:N]",
-        help="chaos-phase device kill (default: first fleet device "
-        "after 3 launches)",
-    )
     serve_bench_cmd.add_argument(
         "--out",
         default=None,
         help="write the results JSON here (e.g. BENCH_serving.json)",
+    )
+    serve_bench_cmd.set_defaults(
+        scale=0.2,
+        devices="gtx580,hd5970",
+        max_sim_items=256,
+        faults=0.05,
+        fault_seed=1234,
     )
 
     bench_cmd = sub.add_parser(

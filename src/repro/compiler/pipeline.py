@@ -19,6 +19,9 @@ Lime program on a given simulated GPU is::
 
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
+
 from repro.backend.glue import CompiledFilter
 from repro.compiler import kernels as kernel_id
 from repro.compiler.lower_kernel import (
@@ -67,6 +70,43 @@ def _bound_specs(shape):
     return specs
 
 
+def _lower_map(
+    checked, mapped, source, source_type, bound_specs, fused_inner,
+    kernel_name, config, device, tracer,
+):
+    """Analyze, memory-plan and lower one map kernel — a filter's own or
+    a fused chain's — recording its fused inner maps and its ``source``
+    (the true param/iota source) in the kernel's meta."""
+    with tracer.span("analyze", cat="compile"):
+        patterns = analyze_worker(mapped)
+    with tracer.span("memplan", cat="compile"):
+        memplan = plan_memory(patterns, config, device)
+    with tracer.span("lower", cat="compile", kernel="map"):
+        plan = build_map_kernel(
+            checked=checked,
+            mapped_method=mapped,
+            source_type=source_type,
+            source_is_iota=source.kind == "iota",
+            bound_specs=bound_specs,
+            config=config,
+            device=device,
+            kernel_name=kernel_name,
+            patterns=patterns,
+            memplan=memplan,
+            fused_inner=fused_inner or None,
+        )
+    if fused_inner:
+        plan.kernel.meta["fused"] = [f[0].qualified_name for f in fused_inner]
+    if source.kind == "iota":
+        plan.kernel.meta["iota_source"] = {
+            "literal": source.literal,
+            "param": source.param_name,
+        }
+    else:
+        plan.kernel.meta["source_param"] = source.param_name
+    return plan
+
+
 def compile_filter(
     checked,
     worker,
@@ -103,8 +143,22 @@ def compile_filter(
     from repro.runtime.profiler import ExecutionProfile
 
     config = config or OptimizationConfig()
-    comm = comm or CommCostModel()
     profile = profile if profile is not None else ExecutionProfile()
+    # Everything the glue takes besides the kernels, and everything a
+    # no-constant-memory recompile needs besides the config.
+    glue = dict(
+        comm=comm or CommCostModel(),
+        profile=profile,
+        marshaller=marshaller,
+        local_size=local_size,
+        bound_values=bound_values,
+        direct_marshal=direct_marshal,
+        overlap=overlap,
+        max_sim_items=max_sim_items,
+        sanitizer=sanitizer,
+        exec_tier=exec_tier,
+        device_key=device_key,
+    )
 
     # Compile-stage spans carry no simulated time (the paper's timing
     # model starts at the glue); their wall_ns shows where the
@@ -118,198 +172,102 @@ def compile_filter(
     if device_key is not None:
         span_args["device"] = device_key
     with tracer.span("compile", cat="compile", **span_args):
-        return _compile_filter_traced(
-            checked,
-            worker,
-            device,
-            config,
-            comm,
-            profile,
-            marshaller,
-            local_size,
-            bound_values,
-            direct_marshal,
-            overlap,
-            max_sim_items,
-            sanitizer,
-            exec_tier,
-            device_key,
-            tracer,
-        )
+        with tracer.span("recognize", cat="compile"):
+            shape = kernel_id.recognize_filter(checked, worker)
+        name = worker.qualified_name
 
+        def compile_kernel(kernel):
+            # Content-addressed: repeated compilations of an identical
+            # kernel (across stream tasks, engine runs, sweeps) reuse
+            # the compiled artifact instead of re-running codegen.
+            return cached_compile_kernel(
+                kernel,
+                options=config.describe(),
+                sanitizer=sanitizer_key(sanitizer),
+                device=device.name,
+                profile=profile,
+            )
 
-def _compile_filter_traced(
-    checked,
-    worker,
-    device,
-    config,
-    comm,
-    profile,
-    marshaller,
-    local_size,
-    bound_values,
-    direct_marshal,
-    overlap,
-    max_sim_items,
-    sanitizer,
-    exec_tier,
-    device_key,
-    tracer,
-):
-    with tracer.span("recognize", cat="compile"):
-        shape = kernel_id.recognize_filter(checked, worker)
-    name = worker.qualified_name
-
-    def compile_kernel(kernel):
-        # Content-addressed: repeated compilations of an identical
-        # kernel (across stream tasks, engine runs, sweeps) reuse the
-        # compiled artifact instead of re-running codegen.
-        return cached_compile_kernel(
-            kernel,
-            options=config.describe(),
-            sanitizer=sanitizer_key(sanitizer),
-            device=device.name,
-            profile=profile,
-        )
-
-    if shape.map is not None:
-        map_shape = shape.map
         reduce_kernel = None
         reduce_op = None
-    elif shape.reduce is not None and shape.reduce.inner_map is not None:
-        map_shape = shape.reduce.inner_map
-        reduce_op = shape.reduce.op
-        with tracer.span("lower", cat="compile", kernel="reduce"):
-            reduce_ir = build_reduce_kernel(
-                ktype_of(shape.reduce.elem_type),
-                reduce_op,
-                name.replace(".", "_") + "_reduce",
+        if shape.reduce is not None:
+            reduce_op = shape.reduce.op
+            with tracer.span("lower", cat="compile", kernel="reduce"):
+                reduce_ir = build_reduce_kernel(
+                    ktype_of(shape.reduce.elem_type),
+                    reduce_op,
+                    name.replace(".", "_") + "_reduce",
+                )
+            reduce_kernel = compile_kernel(reduce_ir)
+        map_shape = shape.map or shape.reduce.inner_map
+        if map_shape is None:
+            # Pure reduction over the worker's input array.
+            return CompiledFilter(
+                name=name,
+                worker=worker,
+                plan=None,
+                compiled_kernel=None,
+                device=device,
+                reduce_kernel=reduce_kernel,
+                reduce_op=reduce_op,
+                **glue,
             )
-        reduce_kernel = compile_kernel(reduce_ir)
-    else:
-        # Pure reduction over the worker's input array.
-        reduce_op = shape.reduce.op
-        with tracer.span("lower", cat="compile", kernel="reduce"):
-            reduce_ir = build_reduce_kernel(
-                ktype_of(shape.reduce.elem_type),
-                reduce_op,
-                name.replace(".", "_") + "_reduce",
+
+        mapped = map_shape.mapped_method
+        # Unwind fused nested maps: walk down to the true (param/iota)
+        # source, collecting the inner per-element functions
+        # innermost-first.
+        fused = []
+        base_source = map_shape.source
+        inner_shape = map_shape
+        while base_source.kind == "fused":
+            inner_shape = base_source.inner
+            fused.append(
+                (inner_shape.mapped_method, _bound_specs(inner_shape))
             )
-        reduce_kernel = compile_kernel(reduce_ir)
+            base_source = inner_shape.source
+        fused.reverse()
+
+        plan = _lower_map(
+            checked,
+            mapped,
+            base_source,
+            inner_shape.elem_type,
+            _bound_specs(map_shape),
+            fused,
+            name.replace(".", "_") + "_kernel",
+            config,
+            device,
+            tracer,
+        )
+        compiled = compile_kernel(plan.kernel)
+
+        constant_fallback = None
+        uses_constant = any(
+            param.is_pointer and param.space is _CONSTANT_SPACE
+            for param in plan.kernel.params
+        )
+        if uses_constant and config.use_constant:
+            constant_fallback = functools.partial(
+                compile_filter,
+                checked,
+                worker,
+                device,
+                config=replace(config, use_constant=False),
+                **glue,
+            )
+
         return CompiledFilter(
             name=name,
             worker=worker,
-            plan=None,
-            compiled_kernel=None,
+            plan=plan,
+            compiled_kernel=compiled,
             device=device,
-            comm=comm,
-            profile=profile,
-            marshaller=marshaller,
             reduce_kernel=reduce_kernel,
             reduce_op=reduce_op,
-            local_size=local_size,
-            bound_values=bound_values,
-            direct_marshal=direct_marshal,
-            overlap=overlap,
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
-            device_key=device_key,
+            constant_fallback=constant_fallback,
+            **glue,
         )
-
-    mapped = map_shape.mapped_method
-    # Unwind fused nested maps: walk down to the true (param/iota)
-    # source, collecting the inner per-element functions innermost-first.
-    fused = []
-    base_source = map_shape.source
-    inner_shape = map_shape
-    while base_source.kind == "fused":
-        inner_shape = base_source.inner
-        fused.append((inner_shape.mapped_method, _bound_specs(inner_shape)))
-        base_source = inner_shape.source
-    fused.reverse()
-
-    with tracer.span("analyze", cat="compile"):
-        patterns = analyze_worker(mapped)
-    with tracer.span("memplan", cat="compile"):
-        memplan = plan_memory(patterns, config, device)
-    with tracer.span("lower", cat="compile", kernel="map"):
-        plan = build_map_kernel(
-            checked=checked,
-            mapped_method=mapped,
-            source_type=inner_shape.elem_type,
-            source_is_iota=base_source.kind == "iota",
-            bound_specs=_bound_specs(map_shape),
-            config=config,
-            device=device,
-            kernel_name=name.replace(".", "_") + "_kernel",
-            patterns=patterns,
-            memplan=memplan,
-            fused_inner=fused or None,
-        )
-    if fused:
-        plan.kernel.meta["fused"] = [m.qualified_name for m, _ in fused]
-    if base_source.kind == "iota":
-        plan.kernel.meta["iota_source"] = {
-            "literal": base_source.literal,
-            "param": base_source.param_name,
-        }
-    else:
-        plan.kernel.meta["source_param"] = base_source.param_name
-    compiled = compile_kernel(plan.kernel)
-
-    constant_fallback = None
-    uses_constant = any(
-        param.is_pointer and param.space is _CONSTANT_SPACE
-        for param in plan.kernel.params
-    )
-    if uses_constant and config.use_constant:
-        from dataclasses import replace as _dc_replace
-
-        def constant_fallback(
-            _checked=checked,
-            _worker=worker,
-            _device=device,
-            _config=_dc_replace(config, use_constant=False),
-            _kwargs=dict(
-                comm=comm,
-                profile=profile,
-                marshaller=marshaller,
-                local_size=local_size,
-                bound_values=bound_values,
-                direct_marshal=direct_marshal,
-                overlap=overlap,
-                max_sim_items=max_sim_items,
-                sanitizer=sanitizer,
-                exec_tier=exec_tier,
-                device_key=device_key,
-            ),
-        ):
-            return compile_filter(
-                _checked, _worker, _device, config=_config, **_kwargs
-            )
-
-    return CompiledFilter(
-        name=name,
-        worker=worker,
-        plan=plan,
-        compiled_kernel=compiled,
-        device=device,
-        comm=comm,
-        profile=profile,
-        marshaller=marshaller,
-        reduce_kernel=reduce_kernel,
-        reduce_op=reduce_op,
-        local_size=local_size,
-        bound_values=bound_values,
-        direct_marshal=direct_marshal,
-        overlap=overlap,
-        constant_fallback=constant_fallback,
-        max_sim_items=max_sim_items,
-        sanitizer=sanitizer,
-        exec_tier=exec_tier,
-        device_key=device_key,
-    )
 
 
 def compile_fused_filter(
@@ -354,38 +312,19 @@ def compile_fused_filter(
     if device_key is not None:
         span_args["device"] = device_key
     with tracer.span("compile", cat="compile", **span_args):
-        mapped = spec.mapped_method
-        with tracer.span("analyze", cat="compile"):
-            patterns = analyze_worker(mapped)
-        with tracer.span("memplan", cat="compile"):
-            memplan = plan_memory(patterns, config, device)
-        with tracer.span("lower", cat="compile", kernel="map"):
-            plan = build_map_kernel(
-                checked=checked,
-                mapped_method=mapped,
-                source_type=spec.source_type,
-                source_is_iota=spec.source_is_iota,
-                bound_specs=spec.bound_specs,
-                config=config,
-                device=device,
-                kernel_name=name.replace(".", "_").replace("+", "__")
-                + "_kernel",
-                patterns=patterns,
-                memplan=memplan,
-                fused_inner=spec.fused_inner,
-            )
+        plan = _lower_map(
+            checked,
+            spec.mapped_method,
+            spec.base_source,
+            spec.source_type,
+            spec.bound_specs,
+            spec.fused_inner,
+            name.replace(".", "_").replace("+", "__") + "_kernel",
+            config,
+            device,
+            tracer,
+        )
         plan.kernel.meta["fused_tasks"] = list(spec.fused_names)
-        if spec.fused_inner:
-            plan.kernel.meta["fused"] = [
-                entry[0].qualified_name for entry in spec.fused_inner
-            ]
-        if spec.base_source.kind == "iota":
-            plan.kernel.meta["iota_source"] = {
-                "literal": spec.base_source.literal,
-                "param": spec.base_source.param_name,
-            }
-        else:
-            plan.kernel.meta["source_param"] = spec.base_source.param_name
         compiled = cached_compile_kernel(
             plan.kernel,
             options=config.describe(),
@@ -423,6 +362,10 @@ class Offloader:
         marshaller: wire-format implementation (specialized or generic).
         local_size: override the work-group size.
 
+    The remaining keyword arguments (``direct_marshal``, ``overlap``,
+    ``max_sim_items``, ``sanitizer``, ``exec_tier``) pass through to
+    :func:`compile_filter`.
+
     ``rejections`` records (worker, reason) pairs for tasks that fell
     back to the host — useful for diagnosing why something did not
     offload.
@@ -442,15 +385,18 @@ class Offloader:
         exec_tier=None,
     ):
         self.device = device
-        self.config = config or OptimizationConfig()
-        self.comm = comm or CommCostModel()
-        self.marshaller = marshaller
-        self.local_size = local_size
-        self.direct_marshal = direct_marshal
-        self.overlap = overlap
-        self.max_sim_items = max_sim_items
-        self.sanitizer = sanitizer
-        self.exec_tier = exec_tier
+        # What every compile of this service passes to the compiler.
+        self.options = dict(
+            config=config or OptimizationConfig(),
+            comm=comm or CommCostModel(),
+            marshaller=marshaller,
+            local_size=local_size,
+            direct_marshal=direct_marshal,
+            overlap=overlap,
+            max_sim_items=max_sim_items,
+            sanitizer=sanitizer,
+            exec_tier=exec_tier,
+        )
         self.rejections = []
         self.compiled = {}
 
@@ -463,17 +409,9 @@ class Offloader:
                 checked,
                 worker,
                 device=self.device,
-                config=self.config,
-                comm=self.comm,
                 profile=profile,
-                marshaller=self.marshaller,
-                local_size=self.local_size,
                 bound_values=bound_values,
-                direct_marshal=self.direct_marshal,
-                overlap=self.overlap,
-                max_sim_items=self.max_sim_items,
-                sanitizer=self.sanitizer,
-                exec_tier=self.exec_tier,
+                **self.options,
             )
         except KernelRejected as reason:
             self.rejections.append((key, str(reason)))
@@ -487,23 +425,12 @@ class Offloader:
         when the chain is not kernel-fusable — the planner declines
         the seam and falls back to buffer residency."""
         return compile_fused_filter(
-            checked,
-            members,
-            device=self.device,
-            config=self.config,
-            comm=self.comm,
-            profile=profile,
-            marshaller=self.marshaller,
-            local_size=self.local_size,
-            direct_marshal=self.direct_marshal,
-            overlap=self.overlap,
-            max_sim_items=self.max_sim_items,
-            sanitizer=self.sanitizer,
-            exec_tier=self.exec_tier,
+            checked, members, device=self.device, profile=profile,
+            **self.options,
         )
 
 
-class FleetOffloader:
+class FleetOffloader(Offloader):
     """The engine-facing compilation service for a device *fleet*.
 
     Same interface as :class:`Offloader`, but ``compile_filter``
@@ -526,92 +453,39 @@ class FleetOffloader:
             owner bound (fleet metrics are daemon-level, not
             per-session), so ``compile_filter`` does not rebind it.
 
-    The remaining keyword arguments mirror :class:`Offloader`.
+    The remaining keyword arguments are :class:`Offloader`'s. Its
+    ``device`` is the first fleet device, for callers that report a
+    primary target (the harness result header).
     """
 
-    def __init__(
-        self,
-        devices=None,
-        policy=None,
-        config=None,
-        comm=None,
-        marshaller=marshal.SPECIALIZED,
-        local_size=None,
-        direct_marshal=False,
-        overlap=False,
-        max_sim_items=None,
-        sanitizer=None,
-        exec_tier=None,
-        fleet=None,
-    ):
+    def __init__(self, devices=None, policy=None, fleet=None, **options):
         from repro.runtime.fleet import DeviceFleet
 
-        if fleet is not None:
-            self.fleet = fleet
-            self._owns_fleet = False
-        else:
-            self.fleet = DeviceFleet(devices, policy=policy)
-            self._owns_fleet = True
-        self.config = config or OptimizationConfig()
-        self.comm = comm or CommCostModel()
-        self.marshaller = marshaller
-        self.local_size = local_size
-        self.direct_marshal = direct_marshal
-        self.overlap = overlap
-        self.max_sim_items = max_sim_items
-        self.sanitizer = sanitizer
-        self.exec_tier = exec_tier
-        self.rejections = []
-        self.compiled = {}
-
-    @property
-    def device(self):
-        """The first fleet device, for callers that report a primary
-        target (the harness result header)."""
-        return self.fleet.devices[self.fleet.keys[0]]
+        self._owns_fleet = fleet is None
+        if fleet is None:
+            fleet = DeviceFleet(devices, policy=policy)
+        self.fleet = fleet
+        super().__init__(fleet.devices[fleet.keys[0]], **options)
 
     def compile_filter(self, checked, worker, profile, bound_values=None):
-        from repro.runtime.fleet import FleetWorker
-
         key = worker.qualified_name
         if key in self.compiled and self.compiled[key] is None:
             return None  # previously rejected
         if self._owns_fleet:
             self.fleet.monitor.bind(profile)
-        filters = {}
         try:
-            for device_key in self.fleet.keys:
-                filters[device_key] = compile_filter(
-                    checked,
-                    worker,
-                    device=self.fleet.devices[device_key],
-                    config=self.config,
-                    comm=self.comm,
-                    profile=profile,
-                    marshaller=self.marshaller,
-                    local_size=self.local_size,
-                    bound_values=bound_values,
-                    direct_marshal=self.direct_marshal,
-                    overlap=self.overlap,
-                    max_sim_items=self.max_sim_items,
-                    sanitizer=self.sanitizer,
-                    exec_tier=self.exec_tier,
-                    device_key=device_key,
-                )
+            fleet_worker = self._fleet_worker(
+                compile_filter,
+                checked,
+                worker,
+                profile=profile,
+                bound_values=bound_values,
+            )
         except KernelRejected as reason:
             # Offloadability is shape-based, so a rejection on one
             # device is a rejection for the whole fleet.
             self.rejections.append((key, str(reason)))
-            self.compiled[key] = None
-            return None
-        for filt in filters.values():
-            filt.partition_depth = self.fleet.policy.partition_depth
-        fleet_worker = FleetWorker(
-            name=key,
-            filters=filters,
-            fleet=self.fleet,
-            profile=profile,
-        )
+            fleet_worker = None
         self.compiled[key] = fleet_worker
         return fleet_worker
 
@@ -622,31 +496,30 @@ class FleetOffloader:
         intermediates live inside one kernel, so there is nothing to
         pin. Raises :class:`KernelRejected` on the first device that
         refuses the chain (shape-based, so all devices agree)."""
+        return self._fleet_worker(
+            compile_fused_filter, checked, members, profile=profile
+        )
+
+    def _fleet_worker(self, compile_one, *args, profile, **kwargs):
+        """``compile_one`` once per fleet device, as one
+        :class:`repro.runtime.fleet.FleetWorker`."""
         from repro.runtime.fleet import FleetWorker
 
-        filters = {}
-        for device_key in self.fleet.keys:
-            filters[device_key] = compile_fused_filter(
-                checked,
-                members,
-                device=self.fleet.devices[device_key],
-                config=self.config,
-                comm=self.comm,
+        filters = {
+            key: compile_one(
+                *args,
+                device=self.fleet.devices[key],
                 profile=profile,
-                marshaller=self.marshaller,
-                local_size=self.local_size,
-                direct_marshal=self.direct_marshal,
-                overlap=self.overlap,
-                max_sim_items=self.max_sim_items,
-                sanitizer=self.sanitizer,
-                exec_tier=self.exec_tier,
-                device_key=device_key,
+                device_key=key,
+                **kwargs,
+                **self.options,
             )
+            for key in self.fleet.keys
+        }
         for filt in filters.values():
             filt.partition_depth = self.fleet.policy.partition_depth
-        name = filters[self.fleet.keys[0]].name
         return FleetWorker(
-            name=name,
+            name=filters[self.fleet.keys[0]].name,
             filters=filters,
             fleet=self.fleet,
             profile=profile,

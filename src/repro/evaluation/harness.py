@@ -1,22 +1,26 @@
-"""Execution targets and the end-to-end measurement loop.
+"""Execution targets, the run specification, and the end-to-end
+measurement loop.
 
 A *target* is one column of Figure 7: the Lime-bytecode baseline
 (host interpreter only), the OpenCL multicore runtime on 1 or 6 Core i7
-cores, or one of the GPUs. ``run_configuration`` executes a benchmark's
-full task-graph program against a target and reports simulated times
-with the Figure 9 stage breakdown.
+cores, or one of the GPUs. A :class:`RunSpec` holds everything that
+shapes one run; ``run_configuration`` executes a benchmark's full
+task-graph program under a spec and reports simulated times with the
+Figure 9 stage breakdown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.compiler.options import OptimizationConfig
-from repro.compiler.pipeline import Offloader
+from repro.compiler.pipeline import FleetOffloader, Offloader
 from repro.opencl.device import CORE_I7, get_device
 from repro.runtime.engine import Engine
 from repro.runtime.profiler import CommCostModel
+from repro.runtime.resilience import FleetPolicy, ResiliencePolicy
+from repro.runtime.sanitizer import SanitizerConfig
 
 
 @dataclass(frozen=True)
@@ -28,30 +32,6 @@ class Target:
     device_name: Optional[str] = None
     cores: Optional[int] = None
 
-    def make_offloader(
-        self, config=None, max_sim_items=None, sanitizer=None, exec_tier=None
-    ):
-        if self.kind == "bytecode":
-            return None
-        if self.kind == "cpu":
-            device = CORE_I7.with_cores(self.cores)
-            return Offloader(
-                device=device,
-                config=config or OptimizationConfig(),
-                comm=CommCostModel.for_cpu(),
-                max_sim_items=max_sim_items,
-                sanitizer=sanitizer,
-                exec_tier=exec_tier,
-            )
-        device = get_device(self.device_name)
-        return Offloader(
-            device=device,
-            config=config or OptimizationConfig(),
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
-        )
-
 
 TARGETS = {
     "bytecode": Target(name="bytecode", kind="bytecode"),
@@ -61,6 +41,167 @@ TARGETS = {
     "gtx580": Target(name="gtx580", kind="gpu", device_name="gtx580"),
     "hd5970": Target(name="hd5970", kind="gpu", device_name="hd5970"),
 }
+
+
+def resolve_fleet_policy(policy=None, **knobs):
+    """One :class:`FleetPolicy` from a policy, a placement strategy
+    name (``"health"`` / ``"round-robin"``) or None (the defaults),
+    with every knob that is not None (``schedule``, ``hedge``,
+    ``redundancy``, ...) folded in."""
+    if isinstance(policy, str):
+        policy, knobs = None, dict(knobs, policy=policy)
+    knobs = {key: value for key, value in knobs.items() if value is not None}
+    return replace(policy or FleetPolicy(), **knobs)
+
+
+@dataclass(frozen=True)
+class FaultFlags:
+    """A run's fault configuration: the arguments of
+    :meth:`ResiliencePolicy.from_flags` (``--faults``, ``--fault-seed``,
+    ``--silent-faults``, ``--validate-every``, ``--breaker-cooloff``,
+    ``--kill-device``, ``--oom-bytes``, ``--slow-device``,
+    ``--slow-ramp``, ``--latency-jitter``). ``kill_devices`` maps a
+    device key to the launches it survives and ``slow_devices`` to its
+    ``(factor, first slow launch)``; both become sorted tuples, so equal
+    flags compare equal."""
+
+    fault_rate: float = 0.0
+    seed: int = 0
+    silent_rate: float = 0.0
+    validate_every: int = 0
+    cooloff: Optional[int] = None
+    kill_devices: tuple = ()
+    oom_bytes: int = 0
+    slow_devices: tuple = ()
+    slow_ramp: int = 0
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        kill = sorted(dict(self.kill_devices).items())
+        slow = sorted(dict(self.slow_devices).items())
+        object.__setattr__(self, "kill_devices", tuple(kill))
+        object.__setattr__(
+            self, "slow_devices", tuple((k, tuple(v)) for k, v in slow)
+        )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything that shapes one run, resolved once.
+
+    ``repro run``, ``serve`` and ``serve-bench`` build it from their
+    flags in one place (``repro.cli.run_spec``); :func:`run_configuration`,
+    the serving daemon and the serving bench consume it. The journal's
+    run key hashes every field (:meth:`journal_descriptor`), so a field
+    added here is part of the key without anyone listing it.
+
+    Construction canonicalizes — ``devices`` to a tuple, a ``Target`` to
+    its name, a fleet's policy (a :class:`FleetPolicy`, a strategy name
+    or None) to a resolved :class:`FleetPolicy`, and to None without
+    ``devices`` — so equal runs compare, and key, equal.
+    """
+
+    # A TARGETS name; with ``devices`` only the result's fallback label.
+    target: str = "gtx580"
+    # Fleet device keys: offload to a health-scheduled multi-device
+    # fleet (FleetOffloader) instead of the single target.
+    devices: Optional[tuple] = None
+    # The fleet's placement strategy, dispatch schedule ("concurrent",
+    # or "sequential" as the bit-exact baseline), hedging and
+    # redundancy, folded into one policy.
+    fleet_policy: Optional[FleetPolicy] = None
+    # Workload scale (1.0 = the default simulated size; the paper-scale
+    # sizes are far larger, see DESIGN.md); stream depth override.
+    scale: float = 1.0
+    steps: Optional[int] = None
+    # Optimization toggles for the offloaded kernels.
+    config: OptimizationConfig = OptimizationConfig()
+    # Simulated work-item cap override.
+    max_sim_items: Optional[int] = None
+    # "auto"/"batch"/"per-item"; None defers to REPRO_EXEC_TIER, then
+    # auto.
+    exec_tier: Optional[str] = None
+    # Guarded (instrumented) kernel execution, or None.
+    sanitizer: Optional[SanitizerConfig] = None
+    # Graph-level fusion: "off" (the byte-identical seed path),
+    # "resident" (intermediates stay on the device across => seams) or
+    # "kernel" (legal chains also fuse into composite kernels); None
+    # defers to REPRO_FUSE, then off. See docs/FUSION.md.
+    fuse: Optional[str] = None
+    # Fault injection, validation and breaker cooloff.
+    faults: FaultFlags = FaultFlags()
+
+    def __post_init__(self):
+        devices = tuple(self.devices) if self.devices else None
+        canonical = {
+            "target": getattr(self.target, "name", self.target),
+            "devices": devices,
+            "fleet_policy": (
+                resolve_fleet_policy(self.fleet_policy) if devices else None
+            ),
+            "config": self.config or OptimizationConfig(),
+        }
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def label(self):
+        """The target label a result reports."""
+        if self.devices:
+            return "fleet:" + "+".join(self.devices)
+        return self.target
+
+    def resilience(self):
+        """A fresh :class:`ResiliencePolicy` for the fault flags (None
+        when every one is off). Fresh per call: each run — each serving
+        session — draws its own seeded fault stream, so its schedule is
+        identical to a solo run with the same flags."""
+        sanitizer = self.sanitizer
+        return ResiliencePolicy.from_flags(
+            sanitize=sanitizer is not None and sanitizer.instruments_launch(),
+            **vars(self.faults),
+        )
+
+    def offloader(self, fleet=None):
+        """A fresh offloader: a :class:`FleetOffloader` over
+        ``devices`` — or over the shared ``fleet`` (a
+        :class:`repro.runtime.fleet.DeviceFleet`) when given — the
+        target's :class:`Offloader`, or None for the bytecode
+        baseline."""
+        options = dict(
+            config=self.config,
+            max_sim_items=self.max_sim_items,
+            sanitizer=self.sanitizer,
+            exec_tier=self.exec_tier,
+        )
+        if self.devices:
+            return FleetOffloader(
+                list(self.devices),
+                policy=self.fleet_policy,
+                fleet=fleet,
+                **options,
+            )
+        target = TARGETS[self.target]
+        if target.kind == "bytecode":
+            return None
+        if target.kind == "cpu":
+            return Offloader(
+                CORE_I7.with_cores(target.cores),
+                comm=CommCostModel.for_cpu(),
+                **options,
+            )
+        return Offloader(get_device(target.device_name), **options)
+
+    def journal_descriptor(self, benchmark, resilience):
+        """What the journal's run key hashes: the benchmark name, every
+        field of this spec, and the configuration of the effective
+        ``resilience`` policy — built from the fault flags or passed in
+        as an object."""
+        return {
+            "benchmark": benchmark,
+            "spec": asdict(self),
+            "resilience": resilience.describe() if resilience else None,
+        }
 
 
 @dataclass
@@ -105,85 +246,50 @@ class RunResult:
 
 def run_configuration(
     bench,
-    target,
-    scale=1.0,
-    steps=None,
-    config=None,
+    spec="gtx580",
     resilience=None,
-    max_sim_items=None,
-    sanitizer=None,
-    exec_tier=None,
     tracer=None,
-    devices=None,
-    fleet_policy=None,
-    fleet_schedule=None,
     journal=None,
     resume=False,
     offloader=None,
     item_guard=None,
-    fuse=None,
     hedge_urgency=None,
+    fleet_schedule=None,
+    **fields,
 ):
-    """Run one benchmark end to end against one target.
+    """Run one benchmark end to end under one :class:`RunSpec`.
 
     Args:
         bench: a :class:`repro.apps.base.Benchmark`.
-        target: a :class:`Target` or its name.
-        scale: workload scale factor (1.0 = the default simulated size;
-            the paper-scale sizes are far larger, see DESIGN.md).
-        steps: stream depth override (defaults to the benchmark's own).
-        config: optimization toggles for the offloaded kernels.
+        spec: a :class:`RunSpec`, or a :class:`Target` or its name.
+            Keyword ``fields`` set (or override) the spec's fields:
+            ``scale=0.2, devices=[...], fleet_policy="health", ...``;
+            ``fleet_schedule`` is folded into the fleet policy.
         resilience: optional
-            :class:`repro.runtime.resilience.ResiliencePolicy` enabling
-            fault injection + retry/fallback for the offloaded filters.
-        max_sim_items: override the simulated work-item cap.
-        sanitizer: optional
-            :class:`repro.runtime.sanitizer.SanitizerConfig` — runs the
-            offloaded kernels under guarded (instrumented) execution.
-        exec_tier: execution-tier request for kernel launches
-            (``"auto"``/``"batch"``/``"per-item"``); ``None`` defers to
-            the ``REPRO_EXEC_TIER`` environment variable, then ``auto``.
+            :class:`repro.runtime.resilience.ResiliencePolicy` to use
+            instead of :meth:`RunSpec.resilience` (fault injection +
+            retry/fallback for the offloaded filters).
         tracer: optional :class:`repro.runtime.tracing.Tracer`; the run
             emits spans for every offload stage, and a final synthetic
             ``host_compute`` span (interpreter time is only known at
             the end of the run) so the trace covers the full reported
             simulated total.
-        devices: optional list of device short keys — offload to a
-            health-scheduled multi-device fleet
-            (:class:`repro.compiler.pipeline.FleetOffloader`) instead
-            of the single-device ``target``; the target is then only
-            the fallback label.
-        fleet_policy: placement strategy for ``devices`` — a
-            :class:`repro.runtime.resilience.FleetPolicy`, or the
-            strategy name (``"health"`` / ``"round-robin"``).
-        fleet_schedule: dispatch schedule override for ``devices`` —
-            ``"concurrent"`` (per-device command queues overlap;
-            default) or ``"sequential"`` (one item in flight, the
-            bit-exact comparison baseline). Folded into the effective
-            :class:`~repro.runtime.resilience.FleetPolicy`, so the
-            journal run key refuses a resume across schedules.
         journal: optional directory path — write-ahead-log every
             offloaded stream item to a crash-consistent
-            :class:`repro.runtime.journal.RunJournal` there.
+            :class:`repro.runtime.journal.RunJournal` there, keyed by
+            :meth:`RunSpec.journal_descriptor`.
         resume: with ``journal``, recover the existing WAL (CRC-scan,
             torn-tail truncation, run-key check) and skip journaled
             items bit-exactly instead of recomputing them.
         offloader: a pre-built offloader (e.g. a
             :class:`repro.compiler.pipeline.FleetOffloader` over a
             *shared* :class:`repro.runtime.fleet.DeviceFleet` from the
-            serving daemon); overrides the target/devices construction
-            above. ``target`` (a string) then only labels the result.
+            serving daemon) instead of :meth:`RunSpec.offloader`.
         item_guard: optional callable ``guard(task_name)`` invoked
             before every task-worker item — the serving layer's
             deadline/budget/drain propagation point. May raise to abort
             the run at an item boundary; the exception is journaled as
             an ``aborted`` record before it propagates.
-        fuse: graph-level fusion mode — ``"off"`` (the byte-identical
-            seed path), ``"resident"`` (keep intermediate buffers
-            device-resident across ``=>`` seams), or ``"kernel"``
-            (additionally fuse legal chains into composite kernels);
-            ``None`` defers to the ``REPRO_FUSE`` environment variable,
-            then ``off``. See docs/FUSION.md.
         hedge_urgency: optional zero-argument callable returning the
             caller's deadline fraction (0.0 fresh → 1.0 at the
             deadline); installed on every fleet device worker so
@@ -194,73 +300,37 @@ def run_configuration(
     """
     from repro.compiler.fusion import resolve_fuse_mode
 
-    fuse = resolve_fuse_mode(fuse)
-    target_label = target if isinstance(target, str) else target.name
-    if isinstance(target, str) and (offloader is None or target in TARGETS):
-        target = TARGETS[target]
+    if not isinstance(spec, RunSpec):
+        spec = RunSpec(target=spec)
+    if fleet_schedule is not None:
+        fields["fleet_policy"] = resolve_fleet_policy(
+            fields.get("fleet_policy", spec.fleet_policy),
+            schedule=fleet_schedule,
+        )
+    spec = replace(spec, **fields)
+    spec = replace(
+        spec,
+        steps=spec.steps if spec.steps is not None else bench.steps,
+        fuse=resolve_fuse_mode(spec.fuse),
+    )
     checked = bench.checked()
-    inputs = bench.make_input(scale=scale)
-    steps = steps if steps is not None else bench.steps
-    effective_policy = fleet_policy
-    if offloader is not None:
-        target_name = target_label
-        devices = None
-    elif devices:
-        from dataclasses import replace
-
-        from repro.compiler.pipeline import FleetOffloader
-        from repro.runtime.resilience import FleetPolicy
-
-        policy = fleet_policy
-        if isinstance(policy, str):
-            policy = FleetPolicy(policy=policy)
-        if fleet_schedule is not None:
-            policy = replace(
-                policy or FleetPolicy(), schedule=fleet_schedule
-            )
-        effective_policy = policy
-        offloader = FleetOffloader(
-            devices,
-            policy=policy,
-            config=config or OptimizationConfig(),
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
-        )
-        target_name = "fleet:" + "+".join(devices)
-    else:
-        offloader = target.make_offloader(
-            config,
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
-        )
-        target_name = target.name
+    inputs = bench.make_input(scale=spec.scale)
+    if offloader is None:
+        offloader = spec.offloader()
+    if resilience is None:
+        resilience = spec.resilience()
     run_journal = None
     if journal is not None:
-        from repro.opencl.kernel_cache import sanitizer_key
         from repro.runtime.journal import RunJournal
 
         # Everything that shapes the item stream goes into the run key:
         # resuming against a different configuration is refused rather
         # than producing silently wrong "skips".
-        descriptor = {
-            "benchmark": bench.name,
-            "target": target_name,
-            "scale": scale,
-            "steps": steps,
-            "max_sim_items": max_sim_items,
-            "config": (config or OptimizationConfig()).describe(),
-            "sanitizer": sanitizer_key(sanitizer),
-            "exec_tier": exec_tier,
-            "devices": list(devices) if devices else None,
-            "fleet_policy": (
-                str(effective_policy) if effective_policy else None
-            ),
-            "resilient": resilience is not None,
-            "fuse": fuse,
-        }
-        run_journal = RunJournal.open(journal, descriptor, resume=resume)
+        run_journal = RunJournal.open(
+            journal,
+            spec.journal_descriptor(bench.name, resilience),
+            resume=resume,
+        )
     try:
         engine = Engine(
             checked,
@@ -269,11 +339,11 @@ def run_configuration(
             tracer=tracer,
             journal=run_journal,
             item_guard=item_guard,
-            fuse=fuse,
+            fuse=spec.fuse,
             hedge_urgency=hedge_urgency,
         )
         checksum = engine.run_static(
-            bench.main_class, bench.run_method, list(inputs) + [steps]
+            bench.main_class, bench.run_method, list(inputs) + [spec.steps]
         )
         if run_journal is not None:
             run_journal.record_complete(float(checksum))
@@ -311,7 +381,7 @@ def run_configuration(
     ledger = engine.profile.faults
     return RunResult(
         benchmark=bench.name,
-        target=target_name,
+        target=spec.label,
         checksum=float(checksum),
         total_ns=engine.total_ns(),
         host_compute_ns=engine.host_compute_ns(),

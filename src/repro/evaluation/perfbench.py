@@ -36,7 +36,7 @@ from dataclasses import replace as _dc_replace
 
 from repro.apps.registry import BENCHMARKS
 from repro.compiler.options import OptimizationConfig
-from repro.evaluation.harness import run_configuration
+from repro.evaluation.harness import RunSpec, run_configuration
 from repro.ioutil import atomic_write_json
 from repro.opencl import executor as ex
 
@@ -274,27 +274,15 @@ def warm_restart_metrics(
     from repro.opencl import kernel_cache as kc
 
     bench = BENCHMARKS[app]
+    spec = RunSpec(target, scale=scale, steps=1, max_sim_items=max_sim_items)
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         journal_dir = os.path.join(tmp, "journal")
         kc.configure_disk_store(os.path.join(tmp, "kernels"))
         try:
-            cold = run_configuration(
-                bench,
-                target,
-                scale=scale,
-                steps=1,
-                max_sim_items=max_sim_items,
-                journal=journal_dir,
-            )
+            cold = run_configuration(bench, spec, journal=journal_dir)
             kc.reset_global_cache()
             warm = run_configuration(
-                bench,
-                target,
-                scale=scale,
-                steps=1,
-                max_sim_items=max_sim_items,
-                journal=journal_dir,
-                resume=True,
+                bench, spec, journal=journal_dir, resume=True
             )
         finally:
             kc.configure_disk_store(None)

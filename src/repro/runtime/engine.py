@@ -271,6 +271,7 @@ class Engine:
                 device_worker=device_worker,
                 journal=self.journal,
                 profile=self.profile,
+                cost=self.cost,
             )
         if self.item_guard is not None:
             worker = _guarded(worker, name, self.item_guard)

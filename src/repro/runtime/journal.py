@@ -30,10 +30,10 @@ Record types: ``meta`` (run identity), ``inflight`` (an item has
 started; carries its marshalled input so a crash mid-item can replay
 it), ``item`` (an item completed; input digest, output wire bytes +
 checksum, device placement, sim-time stage deltas, metrics/ledger
-deltas, fleet placement events, per-queue attempt timestamps so a
-resumed fleet run replays every command-queue cursor bit-exactly,
-worker state), ``aborted`` (clean watchdog abort), ``complete`` (run
-finished, with the final checksum).
+deltas, host-interpreter cost deltas, fleet placement events,
+per-queue attempt timestamps so a resumed fleet run replays every
+command-queue cursor bit-exactly, worker state), ``aborted`` (clean
+watchdog abort), ``complete`` (run finished, with the final checksum).
 
 Concurrency guard
 -----------------
@@ -478,6 +478,24 @@ def _stage_snapshot(stages):
     return [getattr(stages, f) for f in _STAGE_FIELDS]
 
 
+def _profile_counters(profile):
+    return {
+        "kernel_launches": profile.kernel_launches,
+        "bytes_to_device": profile.bytes_to_device,
+        "bytes_from_device": profile.bytes_from_device,
+    }
+
+
+def _delta(before, after):
+    """The entries of counter dict ``after`` that moved since
+    ``before``, as differences."""
+    return {
+        key: n - before.get(key, 0)
+        for key, n in sorted(after.items())
+        if n != before.get(key, 0)
+    }
+
+
 class JournaledWorker:
     """Wraps one offloaded task's (possibly resilience-wrapped) worker
     with write-ahead logging and resume-time skipping.
@@ -489,12 +507,17 @@ class JournaledWorker:
     fallbacks included — as metrics/ledger/stage deltas.
     """
 
-    def __init__(self, name, key, worker, device_worker, journal, profile):
+    def __init__(
+        self, name, key, worker, device_worker, journal, profile, cost
+    ):
         self.name = name
         self.key = key  # journal identity: "task.name#instance"
         self.worker = worker
         self.journal = journal
         self.profile = profile
+        # The engine's interpreter CostCounter: host fallbacks and
+        # validation re-runs charge it, so items journal its delta.
+        self.cost = cost
         self.seq = 0
         if hasattr(device_worker, "filters"):  # FleetWorker
             self.fleet = device_worker
@@ -538,6 +561,8 @@ class JournaledWorker:
         profile.metrics.merge_delta(rec.get("metrics_delta", {}))
         for task, delta in rec.get("ledger_delta", {}).items():
             profile.faults.merge_task(task, delta)
+        for kind, n in rec.get("cost_delta", {}).items():
+            self.cost.charge(kind, n)
         if self.fleet is not None:
             self.fleet.monitor.replay(rec.get("fleet_events", []))
             self.fleet.items += 1
@@ -614,12 +639,9 @@ class JournaledWorker:
         metrics_before = profile.metrics.snapshot()
         ledger_before = profile.faults.snapshot_tasks()
         stages_before = _stage_snapshot(profile.stages)
-        profile_before = (
-            profile.kernel_launches,
-            profile.bytes_to_device,
-            profile.bytes_from_device,
-            dict(profile.tier_launches),
-        )
+        counters_before = _profile_counters(profile)
+        tiers_before = dict(profile.tier_launches)
+        cost_before = self.cost.snapshot()
         self.journal.record_inflight(self.key, seq, digest, wire)
         events = None
         attempts = None
@@ -643,24 +665,8 @@ class JournaledWorker:
             )
             if after != before
         }
-        profile_delta = {}
-        if profile.kernel_launches != profile_before[0]:
-            profile_delta["kernel_launches"] = (
-                profile.kernel_launches - profile_before[0]
-            )
-        if profile.bytes_to_device != profile_before[1]:
-            profile_delta["bytes_to_device"] = (
-                profile.bytes_to_device - profile_before[1]
-            )
-        if profile.bytes_from_device != profile_before[2]:
-            profile_delta["bytes_from_device"] = (
-                profile.bytes_from_device - profile_before[2]
-            )
-        tier_delta = {
-            tier: count - profile_before[3].get(tier, 0)
-            for tier, count in sorted(profile.tier_launches.items())
-            if count != profile_before[3].get(tier, 0)
-        }
+        profile_delta = _delta(counters_before, _profile_counters(profile))
+        tier_delta = _delta(tiers_before, profile.tier_launches)
         if tier_delta:
             profile_delta["tier_launches"] = tier_delta
         record = {
@@ -683,6 +689,12 @@ class JournaledWorker:
                 for fkey, filt in self.filters.items()
             },
         }
+        cost_delta = _delta(cost_before, self.cost.counts)
+        # Only items that ran host code (a breaker fallback, a
+        # validation re-run) carry the field, so fault-free records
+        # stay byte-identical.
+        if cost_delta:
+            record["cost_delta"] = cost_delta
         if events is not None:
             record["fleet_events"] = events
         if attempts is not None:

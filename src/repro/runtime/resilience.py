@@ -45,7 +45,7 @@ import random
 import statistics
 import threading
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.errors import DeviceOOM, LaunchFault, RuntimeFault, SanitizerFault, ValidationFault
 from repro.runtime.sanitizer import values_equal
@@ -926,7 +926,6 @@ class ResiliencePolicy:
         self.breaker_threshold = breaker_threshold
         self.validate_every = int(validate_every or 0)
         self.cooloff = cooloff
-        self.workers = []
 
     @classmethod
     def from_flags(
@@ -963,26 +962,18 @@ class ResiliencePolicy:
         fleet-wide."""
         kill_devices = dict(kill_devices or {})
         slow_devices = dict(slow_devices or {})
-        if (
-            fault_rate <= 0.0
-            and silent_rate <= 0.0
-            and validate_every <= 0
-            and not sanitize
-            and not kill_devices
-            and oom_bytes <= 0
-            and not slow_devices
-            and jitter <= 0.0
-        ):
-            return None
-        injector = None
-        if (
+        injects = (
             fault_rate > 0.0
             or silent_rate > 0.0
             or kill_devices
             or oom_bytes > 0
             or slow_devices
             or jitter > 0.0
-        ):
+        )
+        if not injects and validate_every <= 0 and not sanitize:
+            return None
+        injector = None
+        if injects:
             spec = FaultSpec(
                 transfer=fault_rate,
                 launch=fault_rate,
@@ -1012,6 +1003,29 @@ class ResiliencePolicy:
             cooloff=cooloff,
         )
 
+    def describe(self):
+        """The policy's configuration as JSON-able data — fault specs,
+        kill switches, retry, breaker and validation settings, not the
+        injector's draw state. The journal's run key hashes it, whether
+        the policy came from flags or was passed in as an object."""
+        injected = None
+        if self.injector is not None:
+            injected = {
+                "spec": asdict(self.injector.spec),
+                "device_specs": {
+                    key: asdict(spec)
+                    for key, spec in self.injector.device_specs.items()
+                },
+                "kill_after": dict(self.injector.kill_after),
+            }
+        return {
+            "injector": injected,
+            "retry": asdict(self.retry),
+            "breaker_threshold": self.breaker_threshold,
+            "validate_every": self.validate_every,
+            "cooloff": self.cooloff,
+        }
+
     def wrap(self, name, device_worker, host_factory, profile):
         if self.injector is not None and hasattr(device_worker, "injector"):
             device_worker.injector = self.injector
@@ -1028,5 +1042,4 @@ class ResiliencePolicy:
             profile=profile,
             validate_every=self.validate_every,
         )
-        self.workers.append(worker)
         return worker

@@ -23,8 +23,10 @@ recovery benches) for the CI artifact upload.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.apps.registry import BENCHMARKS
-from repro.evaluation.harness import run_configuration
+from repro.evaluation.harness import FaultFlags, run_configuration
 from repro.ioutil import atomic_write_json
 from repro.serving.server import ServeConfig, ServeDaemon
 from repro.serving.session import COMPLETED, SessionSpec
@@ -71,20 +73,16 @@ def quantile(values, q):
     return ordered[rank]
 
 
-def solo_checksums(specs, config):
-    """Ground-truth checksum per benchmark: a clean solo run at the
-    same workload shape on the single-device target."""
+def solo_checksums(specs, run):
+    """Ground-truth checksum per benchmark: a clean solo run of each
+    session's workload shape under ``run`` (a single-device
+    :class:`RunSpec`)."""
     out = {}
     for spec in specs:
         if spec.benchmark in out:
             continue
         result = run_configuration(
-            BENCHMARKS[spec.benchmark],
-            config.target,
-            scale=spec.scale,
-            steps=spec.steps,
-            max_sim_items=config.max_sim_items,
-            exec_tier=config.exec_tier,
+            BENCHMARKS[spec.benchmark], run, scale=spec.scale, steps=spec.steps
         )
         out[spec.benchmark] = result.checksum
     return out
@@ -151,68 +149,65 @@ def check_bit_exact(phase, solo):
 
 
 def serving_bench(
+    run,
     sessions=8,
     tenants=2,
     apps=None,
-    scale=0.2,
-    steps=None,
-    devices=("gtx580", "hd5970"),
-    target="gtx580",
     max_concurrency=4,
     queue_depth=16,
-    max_sim_items=256,
-    fault_rate=0.05,
-    fault_seed=1234,
-    kill_devices=None,
     out_path=None,
     wall_clock=None,
 ):
     """Run the clean and chaos phases and return (optionally writing)
-    the ``BENCH_serving.json`` payload."""
+    the ``BENCH_serving.json`` payload.
+
+    ``run`` is the chaos phase's :class:`RunSpec`: the fleet devices,
+    target, session scale and steps, work-item cap and fault flags.
+    Without a kill switch the chaos phase kills the first fleet device
+    after 3 launches. The clean phase runs the same spec without fault
+    flags; the solo baselines run it on the single target."""
     if wall_clock is None:
         import time
 
         wall_clock = time.monotonic
-    if kill_devices is None:
-        kill_devices = {list(devices)[0]: 3}
+    if not run.faults.kill_devices:
+        run = replace(
+            run, faults=replace(run.faults, kill_devices={run.devices[0]: 3})
+        )
     specs = build_workload(
-        sessions=sessions, tenants=tenants, apps=apps, scale=scale, steps=steps
+        sessions=sessions,
+        tenants=tenants,
+        apps=apps,
+        scale=run.scale,
+        steps=run.steps,
     )
 
-    def config(**chaos):
+    def config(run):
+        # No tenant cap below the session count: the bench measures
+        # throughput, not quota shedding.
         return ServeConfig(
-            devices=list(devices),
-            target=target,
+            run=run,
             max_concurrency=max_concurrency,
             queue_depth=queue_depth,
-            tenant_max_inflight=sessions,  # the bench measures throughput,
-            max_sim_items=max_sim_items,  # not quota shedding
-            **chaos,
+            tenant_max_inflight=sessions,
         )
 
-    solo = solo_checksums(specs, config())
-    clean = run_phase(config(), specs, wall_clock)
-    chaos = run_phase(
-        config(
-            fault_rate=fault_rate,
-            fault_seed=fault_seed,
-            kill_devices=dict(kill_devices),
-        ),
-        specs,
-        wall_clock,
-    )
+    clean_run = replace(run, faults=FaultFlags())
+    solo = solo_checksums(specs, replace(clean_run, devices=None))
+    clean = run_phase(config(clean_run), specs, wall_clock)
+    chaos = run_phase(config(run), specs, wall_clock)
     payload = {
         "bench": "serving",
         "workload": {
             "sessions": sessions,
             "tenants": tenants,
             "apps": sorted({s.benchmark for s in specs}),
-            "scale": scale,
-            "devices": list(devices),
+            "scale": run.scale,
+            "devices": list(run.devices),
             "max_concurrency": max_concurrency,
             "queue_depth": queue_depth,
-            "kill_devices": dict(kill_devices),
-            "fault_rate": fault_rate,
+            "kill_devices": dict(run.faults.kill_devices),
+            "fault_rate": run.faults.fault_rate,
         },
         "solo_checksums": solo,
         "clean": clean,

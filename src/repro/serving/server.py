@@ -41,7 +41,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.registry import get_benchmark
@@ -53,9 +53,8 @@ from repro.errors import (
     SessionDrained,
     TenantBudgetExceeded,
 )
-from repro.evaluation.harness import run_configuration
+from repro.evaluation.harness import RunSpec, run_configuration
 from repro.runtime.profiler import ExecutionProfile
-from repro.runtime.resilience import FleetPolicy, ResiliencePolicy
 from repro.serving import session as sess
 from repro.serving.admission import AdmissionController, TenantQuota
 from repro.serving.scheduler import FleetScheduler
@@ -65,37 +64,18 @@ from repro.serving.session import Session, load_session_specs
 @dataclass
 class ServeConfig:
     """Everything the daemon needs, grouped so the CLI and the load
-    generator construct it the same way."""
+    generator construct it the same way: the serving knobs plus the
+    one :class:`RunSpec` every session runs under (its devices form
+    the shared fleet; each session substitutes its own scale and
+    steps)."""
 
-    # placement
-    devices: Optional[list] = None  # fleet keys; None = single target
-    target: str = "gtx580"
-    fleet_policy: Optional[str] = None
-    # dispatch schedule for the shared fleet's command queues:
-    # "concurrent" lets sessions genuinely share fleet throughput
-    # (each queue's cursor is monotonic across sessions), "sequential"
-    # keeps one item in flight per session.
-    fleet_schedule: str = "concurrent"
+    run: RunSpec = RunSpec()
     # scheduling + admission
     max_concurrency: int = 4
     queue_depth: int = 16
     tenant_max_inflight: int = 4
     tenant_sim_budget_ns: Optional[float] = None
-    # per-session run shape
-    max_sim_items: Optional[int] = None
-    exec_tier: Optional[str] = None
     session_deadline_ms: Optional[float] = None
-    # tail tolerance: "on" arms hedged launches on the shared fleet;
-    # each session's deadline fraction shrinks its own hedge budget,
-    # so near-deadline sessions hedge eagerly (docs/HEDGING.md).
-    hedge: str = "off"
-    # chaos
-    fault_rate: float = 0.0
-    fault_seed: int = 0
-    validate_every: int = 0
-    breaker_cooloff: Optional[int] = None
-    kill_devices: dict = field(default_factory=dict)
-    oom_bytes: int = 0
     # persistence
     serve_dir: Optional[str] = None
     resume: bool = False
@@ -117,20 +97,12 @@ class ServeDaemon:
             metrics=self.metrics,
         )
         self.fleet = None
-        if config.devices:
+        if config.run.devices:
             from repro.runtime.fleet import DeviceFleet
 
-            from dataclasses import replace
-
-            policy = config.fleet_policy
-            if isinstance(policy, str):
-                policy = FleetPolicy(policy=policy)
-            policy = replace(
-                policy or FleetPolicy(),
-                schedule=config.fleet_schedule or "concurrent",
-                hedge=config.hedge or "off",
+            self.fleet = DeviceFleet(
+                list(config.run.devices), policy=config.run.fleet_policy
             )
-            self.fleet = DeviceFleet(list(config.devices), policy=policy)
             self.fleet.monitor.bind(self.profile)
         self.scheduler = FleetScheduler(
             self._run_session,
@@ -219,52 +191,25 @@ class ServeDaemon:
 
         return guard
 
-    def _make_offloader(self):
-        if self.fleet is None:
-            return None, None
-        from repro.compiler.pipeline import FleetOffloader
-
-        offloader = FleetOffloader(
-            fleet=self.fleet,
-            max_sim_items=self.config.max_sim_items,
-            exec_tier=self.config.exec_tier,
-        )
-        return offloader, "fleet:" + "+".join(self.fleet.keys)
-
-    def _make_resilience(self):
-        cfg = self.config
-        # Fresh injector per session, same seed: a session's fault
-        # schedule is identical to a solo run with the same flags, so
-        # served results stay bit-exact against solo baselines.
-        return ResiliencePolicy.from_flags(
-            fault_rate=cfg.fault_rate,
-            seed=cfg.fault_seed,
-            validate_every=cfg.validate_every,
-            cooloff=cfg.breaker_cooloff,
-            kill_devices=cfg.kill_devices,
-            oom_bytes=cfg.oom_bytes,
-        )
-
     def _run_session(self, session):
         if self._drain.is_set():
             self._settle(session, sess.DRAINED, error="drained before start")
             return
         session.mark_running()
         self.metrics.gauge("serving.queue.depth").set(self.scheduler.depth())
-        cfg = self.config
-        offloader, target_label = self._make_offloader()
+        run = self.config.run
         try:
+            # The spec's fault flags give every session a fresh injector
+            # with the same seed, so served results stay bit-exact
+            # against solo baselines.
             result = run_configuration(
                 get_benchmark(session.spec.benchmark),
-                target_label if offloader is not None else cfg.target,
+                run,
                 scale=session.spec.scale,
                 steps=session.spec.steps,
-                resilience=self._make_resilience(),
-                max_sim_items=cfg.max_sim_items,
-                exec_tier=cfg.exec_tier,
                 journal=session.journal_dir(),
-                resume=cfg.resume,
-                offloader=offloader,
+                resume=self.config.resume,
+                offloader=run.offloader(fleet=self.fleet),
                 item_guard=self._item_guard(session),
                 hedge_urgency=session.deadline_fraction,
             )
@@ -412,24 +357,3 @@ class ServeDaemon:
             "drained": self._drain.is_set(),
         }
 
-
-def parse_kill_spec(values):
-    """Parse repeated ``DEVICE:AFTER_N`` kill flags into the
-    ``kill_devices`` dict :meth:`ResiliencePolicy.from_flags` expects."""
-    kills = {}
-    for value in values or []:
-        try:
-            device, after = value.rsplit(":", 1)
-            kills[device] = int(after)
-        except ValueError:
-            raise ValueError(
-                "expected DEVICE:AFTER_N, got {!r}".format(value)
-            )
-    return kills
-
-
-def validate_specs(specs):
-    """Fail fast on unknown benchmarks before the daemon starts."""
-    for spec in specs:
-        get_benchmark(spec.benchmark)
-    return specs

@@ -396,10 +396,11 @@ class TestHedgedConservation:
 
 class TestServingReport:
     def test_report_exposes_sorted_queue_snapshot(self):
+        from repro.evaluation.harness import RunSpec
         from repro.serving.server import ServeConfig, ServeDaemon
 
         daemon = ServeDaemon(
-            ServeConfig(devices=["hd5970", "gtx580"], target="gtx580")
+            ServeConfig(run=RunSpec(devices=["hd5970", "gtx580"]))
         )
         assert daemon.fleet.policy.schedule == "concurrent"
         report = daemon.report()
@@ -409,12 +410,12 @@ class TestServingReport:
             assert snap["submitted"] == 0
 
     def test_sequential_schedule_propagates(self):
+        from repro.evaluation.harness import RunSpec, resolve_fleet_policy
         from repro.serving.server import ServeConfig, ServeDaemon
 
+        policy = resolve_fleet_policy(schedule="sequential")
         daemon = ServeDaemon(
-            ServeConfig(
-                devices=["gtx580"], fleet_schedule="sequential"
-            )
+            ServeConfig(run=RunSpec(devices=["gtx580"], fleet_policy=policy))
         )
         assert daemon.fleet.policy.schedule == "sequential"
 

@@ -315,3 +315,26 @@ class TestWarmRestart:
         warm = run(journal=tmp_path, resume=True)
         assert_bit_exact(cold, warm)
         assert warm.journal["items_journaled"] == 0
+
+    def test_resume_restores_host_interpreter_time(self, tmp_path):
+        # Under these faults the breaker demotes Series.coefficients to
+        # the host interpreter on the first item; a resume that skips
+        # every item must still charge that interpreter time.
+        def faulted(resume):
+            return run_configuration(
+                BENCHMARKS["jg-series-single"],
+                "gtx580",
+                scale=SCALE,
+                steps=STEPS,
+                resilience=ResiliencePolicy.from_flags(fault_rate=0.2, seed=1),
+                journal=os.fspath(tmp_path),
+                resume=resume,
+            )
+
+        cold = faulted(resume=False)
+        warm = faulted(resume=True)
+        assert cold.faults["demoted_tasks"]
+        assert warm.journal["items_skipped"] == cold.journal["items_journaled"]
+        assert warm.host_compute_ns == cold.host_compute_ns
+        assert warm.total_ns == cold.total_ns
+        assert warm.checksum == cold.checksum

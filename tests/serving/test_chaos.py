@@ -7,7 +7,7 @@ with a solo run, the daemon never crashes, and overload produces typed
 """
 
 from repro.apps.registry import BENCHMARKS
-from repro.evaluation.harness import run_configuration
+from repro.evaluation.harness import FaultFlags, RunSpec, run_configuration
 from repro.serving.loadgen import serving_bench
 from repro.serving.server import ServeConfig, ServeDaemon
 from repro.serving.session import SessionSpec
@@ -26,14 +26,18 @@ KNOWN_CODES = {
 
 def chaos_config(**kw):
     base = dict(
-        devices=["gtx580", "hd5970"],
+        run=RunSpec(
+            devices=["gtx580", "hd5970"],
+            max_sim_items=MAX_ITEMS,
+            faults=FaultFlags(
+                fault_rate=0.05,
+                seed=99,
+                kill_devices={"gtx580": 1},  # dies after its first launch
+            ),
+        ),
         max_concurrency=4,
         queue_depth=16,
         tenant_max_inflight=16,
-        max_sim_items=MAX_ITEMS,
-        fault_rate=0.05,
-        fault_seed=99,
-        kill_devices={"gtx580": 1},  # dies after its first launch
     )
     base.update(kw)
     return ServeConfig(**base)
@@ -95,14 +99,19 @@ def test_overload_under_chaos_sheds_typed_not_crashes():
 def test_serving_bench_clean_vs_chaos_is_bit_exact(tmp_path):
     out = tmp_path / "BENCH_serving.json"
     payload = serving_bench(
+        RunSpec(
+            devices=["gtx580", "hd5970"],
+            scale=SCALE,
+            steps=STEPS,
+            max_sim_items=MAX_ITEMS,
+            faults=FaultFlags(
+                fault_rate=0.05, seed=1234, kill_devices={"gtx580": 1}
+            ),
+        ),
         sessions=4,
         tenants=2,
         apps=["jg-series-single", "mosaic"],
-        scale=SCALE,
-        steps=STEPS,
-        max_sim_items=MAX_ITEMS,
         max_concurrency=3,
-        kill_devices={"gtx580": 1},
         out_path=str(out),
     )
     assert payload["ok"], payload["bit_exact"]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps.registry import BENCHMARKS
 from repro.errors import AdmissionRejected
-from repro.evaluation.harness import run_configuration
+from repro.evaluation.harness import RunSpec, run_configuration
 from repro.serving.server import ServeConfig, ServeDaemon
 from repro.serving.session import SessionSpec
 
@@ -44,11 +44,10 @@ def solo_checksum(benchmark):
 
 def fleet_config(**kw):
     base = dict(
-        devices=["gtx580", "hd5970"],
+        run=RunSpec(devices=["gtx580", "hd5970"], max_sim_items=MAX_ITEMS),
         max_concurrency=4,
         queue_depth=16,
         tenant_max_inflight=16,
-        max_sim_items=MAX_ITEMS,
     )
     base.update(kw)
     return ServeConfig(**base)
@@ -153,11 +152,9 @@ def test_drain_then_resume_restores_every_session(tmp_path):
 def test_single_target_daemon_needs_no_fleet():
     daemon = ServeDaemon(
         ServeConfig(
-            devices=None,
-            target="cpu-6",
+            run=RunSpec(target="cpu-6", max_sim_items=MAX_ITEMS),
             max_concurrency=2,
             tenant_max_inflight=8,
-            max_sim_items=MAX_ITEMS,
         )
     )
     report = daemon.serve([spec("a"), spec("b")])

@@ -14,6 +14,7 @@ tenant registry.
 
 import pytest
 
+from repro.evaluation.harness import FaultFlags, RunSpec
 from repro.serving.server import ServeConfig, ServeDaemon
 from repro.serving.session import SessionSpec
 
@@ -22,18 +23,22 @@ STEPS = 3
 MAX_ITEMS = 128
 
 
-def run_daemon(n_sessions=6, tenants=3, **cfg_kw):
-    cfg = dict(
+def run_daemon(n_sessions=6, tenants=3, validate_every=0):
+    run = RunSpec(
         devices=["gtx580", "hd5970"],
-        max_concurrency=4,
-        queue_depth=16,
-        tenant_max_inflight=16,
         max_sim_items=MAX_ITEMS,
-        fault_rate=0.08,
-        fault_seed=5,
+        faults=FaultFlags(
+            fault_rate=0.08, seed=5, validate_every=validate_every
+        ),
     )
-    cfg.update(cfg_kw)
-    daemon = ServeDaemon(ServeConfig(**cfg))
+    daemon = ServeDaemon(
+        ServeConfig(
+            run=run,
+            max_concurrency=4,
+            queue_depth=16,
+            tenant_max_inflight=16,
+        )
+    )
     specs = [
         SessionSpec(
             name="s{}".format(i),
