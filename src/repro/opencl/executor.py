@@ -13,10 +13,14 @@ NDRange. It produces two things:
   in which order), from which :mod:`repro.opencl.timing` derives
   coalescing, bank-conflict, cache, and broadcast behavior.
 
-Integer arithmetic wraps to 32 bits at multiplications, shifts, and
-casts (the overflow-relevant operations for the benchmark suite); floats
-compute in double precision and round on store into ``float`` buffers,
-matching the host interpreter's conventions.
+Eligible kernels also compile to one whole-NDRange NumPy function (the
+batch tier): :class:`_BatchCodegen` subclasses the per-item codegen, so
+all three sources (per-item, sanitized, batch) share one traversal.
+
+Integer arithmetic wraps to 32 (``long``: 64) bits at ``+ - *``,
+negation, complement, shifts and casts; floats compute in double
+precision and round on store into ``float`` buffers, matching the host
+interpreter's conventions.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def resolve_exec_tier(explicit=None):
 
 # Bump when CompiledKernel.artifact()'s shape changes: a mismatched
 # on-disk kernel artifact is treated as a cache miss, never deserialized.
-DISK_ARTIFACT_VERSION = 1
+DISK_ARTIFACT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,10 @@ class SiteTrace:
         return np.concatenate(lane_parts), np.concatenate(idx_parts)
 
 
+# The op counters: one per instruction class the timing model prices.
+_OP_KINDS = ("int", "long", "fp", "dp", "cmp", "branch", "trans_f", "trans_d")
+
+
 class LaunchTrace:
     """Everything one kernel launch did, for the timing model."""
 
@@ -148,16 +156,7 @@ class LaunchTrace:
         self.global_size = global_size
         self.local_size = local_size
         self.tier = "per-item"  # which execution tier ran this launch
-        self.op_cycles = {
-            "int": 0,
-            "long": 0,
-            "fp": 0,
-            "dp": 0,
-            "cmp": 0,
-            "branch": 0,
-            "trans_f": 0,
-            "trans_d": 0,
-        }
+        self.op_cycles = dict.fromkeys(_OP_KINDS, 0)
         self.sites = {}
         self.barriers = 0
 
@@ -173,35 +172,45 @@ class LaunchTrace:
 # Expression / statement code generation
 # ---------------------------------------------------------------------------
 
-_MATH_ONE = {
-    "sqrt": "math.sqrt",
-    "native_sqrt": "math.sqrt",
-    "rsqrt": "_rsqrt",
-    "native_rsqrt": "_rsqrt",
-    "sin": "math.sin",
-    "native_sin": "math.sin",
-    "cos": "math.cos",
-    "native_cos": "math.cos",
-    "tan": "math.tan",
-    "native_tan": "math.tan",
-    "exp": "math.exp",
-    "native_exp": "math.exp",
-    "log": "math.log",
-    "native_log": "math.log",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "fabs": "abs",
-    "abs": "abs",
+# Device math builtins: name -> (per-item, batch) spelling. The batch
+# helpers (the batch runtime below) take lane arrays or scalars.
+_MATH = {
+    "sqrt": ("math.sqrt", "_vsqrt"),
+    "native_sqrt": ("math.sqrt", "_vsqrt"),
+    "rsqrt": ("_rsqrt", "_vrsqrt"),
+    "native_rsqrt": ("_rsqrt", "_vrsqrt"),
+    "sin": ("math.sin", "_vsin"),
+    "native_sin": ("math.sin", "_vsin"),
+    "cos": ("math.cos", "_vcos"),
+    "native_cos": ("math.cos", "_vcos"),
+    "tan": ("math.tan", "_vtan"),
+    "native_tan": ("math.tan", "_vtan"),
+    "exp": ("math.exp", "_vexp"),
+    "native_exp": ("math.exp", "_vexp"),
+    "log": ("math.log", "_vlog"),
+    "native_log": ("math.log", "_vlog"),
+    "floor": ("math.floor", "_vfloor"),
+    "ceil": ("math.ceil", "_vceil"),
+    "fabs": ("abs", "abs"),
+    "abs": ("abs", "abs"),
+    "pow": ("math.pow", "_vpow"),
+    "native_powr": ("math.pow", "_vpow"),
+    "atan2": ("math.atan2", "_vatan2"),
+    "hypot": ("math.hypot", "_vhypot"),
+    "min": ("min", "_vmin"),
+    "max": ("max", "_vmax"),
+    "fmin": ("min", "_vmin"),
+    "fmax": ("max", "_vmax"),
 }
-_MATH_TWO = {
-    "pow": "math.pow",
-    "native_powr": "math.pow",
-    "atan2": "math.atan2",
-    "hypot": "math.hypot",
-    "min": "min",
-    "max": "max",
-    "fmin": "min",
-    "fmax": "max",
+
+# Scalar casts: target kind -> (per-item, batch) conversion.
+_CASTS = {
+    "int": ("_i32(int({}))", "_vci32({})"),
+    "long": ("_i64(int({}))", "_vci64({})"),
+    "char": ("_i8(int({}))", "_vci8({})"),
+    "float": ("_f32({})", "_vcf32({})"),
+    "double": ("float({})", "_vcdbl({})"),
+    "bool": ("bool({})", "_vcbool({})"),
 }
 
 _WORKITEM_FUNCS = {
@@ -257,7 +266,7 @@ def _op_class(expr):
             isinstance(expr.ktype, K.KVector) and expr.ktype.is_float
         ):
             return "fp", lanes
-        if isinstance(expr.ktype, K.KScalar) and expr.ktype.kind == "long":
+        if _is_long(expr.ktype):
             return "long", lanes
         return "int", lanes
     if isinstance(expr, K.KUn):
@@ -269,7 +278,7 @@ def _op_class(expr):
     if isinstance(expr, K.KCall):
         if expr.name in _TRANSCENDENTALS:
             return ("trans_d" if _is_double(expr.ktype) else "trans_f"), 1
-        if expr.name in _MATH_ONE or expr.name in _MATH_TWO:
+        if expr.name in _MATH:
             return ("dp" if _is_double(expr.ktype) else "fp"), 1
         return None
     if isinstance(expr, K.KSelect):
@@ -285,7 +294,24 @@ class _Codegen:
     access and a watchdog tick ``_wd()`` at the top of every loop
     iteration. The op-count segments and access sites are identical in
     both modes, so instrumented launches report the same profile.
+
+    This is the one traversal behind every tier: :class:`_BatchCodegen`
+    inherits it and overrides only the batch tier's spellings.
     """
+
+    # Column of the (per-item, batch) tables, and the helper spellings
+    # the batch tier replaces with lane-array versions.
+    TIER = 0
+    NOT = "(not {})"
+    AND = "(({}) and ({}))"
+    OR = "(({}) or ({}))"
+    FDIV = "(({}) / ({}))"
+    IDIV = "_idiv({}, {})"
+    IREM = "_irem({}, {})"
+    WRAP = ("_i32", "_i64")  # (int, long)
+    VEXT = "({}[{}].item())"
+    VBUILD = "np.array([{0}], dtype={1})"  # ({2}: lane count, batch only)
+    PRIVATE_SHAPE = "{}"
 
     def __init__(self, kernel, sanitize=False):
         self.kernel = kernel
@@ -313,25 +339,19 @@ class _Codegen:
         self.temp += 1
         return "_t{}".format(self.temp)
 
+    def _lane_count(self):
+        """How many work-items run the current statement: one."""
+        return "1"
+
     def _segment(self):
         """Current op-count accumulator; opens a new segment (with its
         counter bump emitted) when none is active."""
         if self.current_segment is None:
-            seg_id = len(self.segments)
-            self.segments.append(
-                {
-                    "int": 0,
-                    "long": 0,
-                    "fp": 0,
-                    "dp": 0,
-                    "cmp": 0,
-                    "branch": 0,
-                    "trans_f": 0,
-                    "trans_d": 0,
-                }
+            self.emit(
+                "_segc[{}] += {}".format(len(self.segments), self._lane_count())
             )
-            self.emit("_segc[{}] += 1".format(seg_id))
-            self.current_segment = self.segments[seg_id]
+            self.current_segment = dict.fromkeys(_OP_KINDS, 0)
+            self.segments.append(self.current_segment)
         return self.current_segment
 
     def close_segment(self):
@@ -343,11 +363,19 @@ class _Codegen:
             kind, n = op
             self._segment()[kind] += n
 
+    def _iteration(self, induction):
+        """Charge one loop test, plus the induction update of a for."""
+        seg = self._segment()
+        seg["cmp"] += 1
+        seg["branch"] += 1
+        seg["int"] += induction
+
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e):
         """Return a Python expression string, emitting hoisted statements
         for loads as needed."""
+        self._check_node(e)
         if isinstance(e, K.KConst):
             if isinstance(e.value, bool):
                 return "True" if e.value else "False"
@@ -360,54 +388,69 @@ class _Codegen:
                     return "(-math.inf)"
             return repr(e.value)
         if isinstance(e, K.KVar):
-            return _pyname(e.name)
+            return self._var(e.name)
         if isinstance(e, K.KUn):
             self.charge(e)
             operand = self.expr(e.operand)
             if e.op == "!":
-                return "(not {})".format(operand)
-            if e.op == "~":
-                return "(_i32(~({})))".format(operand)
+                return self.NOT.format(operand)
+            if e.op == "~" or (e.op == "-" and _is_int(e.ktype)):
+                # Integer negation and complement wrap like _binary.
+                wrap = self.WRAP[_is_long(e.ktype)]
+                return "({}({}({})))".format(wrap, e.op, operand)
             return "({}{})".format(e.op, operand)
         if isinstance(e, K.KBin):
             return self._binary(e)
         if isinstance(e, K.KSelect):
             self.charge(e)
-            return "(({}) if ({}) else ({}))".format(
-                self.expr(e.then), self.expr(e.cond), self.expr(e.otherwise)
-            )
+            return self._select(e)
         if isinstance(e, K.KCast):
-            return self._cast(e)
+            inner = self.expr(e.expr)
+            if isinstance(e.ktype, K.KScalar):
+                return _CASTS[e.ktype.kind][self.TIER].format(inner)
+            return inner
         if isinstance(e, K.KCall):
             return self._call(e)
-        if isinstance(e, K.KLoad):
+        if isinstance(e, (K.KLoad, K.KImageLoad)):
             return self._load(e)
-        if isinstance(e, K.KImageLoad):
-            return self._image_load(e)
         if isinstance(e, K.KVecExtract):
-            return "({}[{}].item())".format(self.expr(e.vec), e.lane)
+            return self.VEXT.format(self.expr(e.vec), e.lane)
         if isinstance(e, K.KVecBuild):
             elems = ", ".join(self.expr(x) for x in e.elems)
-            return "np.array([{}], dtype={})".format(elems, _np_dtype(e.ktype.base))
+            return self.VBUILD.format(
+                elems, _np_dtype(e.ktype.base), self._lane_count()
+            )
         raise DeviceError("cannot generate code for {}".format(type(e).__name__))
+
+    def _check_node(self, node):
+        """Raise :class:`DeviceError` for a node this tier cannot
+        compile (batch override)."""
+
+    def _var(self, name):
+        return _pyname(name)
+
+    def _select(self, e):
+        # Evaluated then, cond, otherwise: temps are numbered in this
+        # order.
+        return "(({}) if ({}) else ({}))".format(
+            self.expr(e.then), self.expr(e.cond), self.expr(e.otherwise)
+        )
 
     def _binary(self, e):
         self.charge(e)
         left = self.expr(e.left)
         right = self.expr(e.right)
         op = e.op
-        is_long = isinstance(e.ktype, K.KScalar) and e.ktype.kind == "long"
-        is_int = isinstance(e.ktype, K.KScalar) and e.ktype.kind in (
-            "int",
-            "long",
-            "char",
-        )
-        wrap = "_i64" if is_long else "_i32"
+        is_long = _is_long(e.ktype)
+        is_int = _is_int(e.ktype)
+        wrap = self.WRAP[is_long]
         shift_mask = 63 if is_long else 31
         if op == "/" and is_int:
-            return "_idiv({}, {})".format(left, right)
+            return self.IDIV.format(left, right)
         if op == "%" and is_int:
-            return "_irem({}, {})".format(left, right)
+            return self.IREM.format(left, right)
+        if op == "/" and not isinstance(e.ktype, K.KVector):
+            return self.FDIV.format(left, right)
         if op in ("*", "+", "-") and is_int:
             return "{}(({}) {} ({}))".format(wrap, left, op, right)
         if op == "<<":
@@ -416,44 +459,27 @@ class _Codegen:
             return "(({}) >> (({}) & {}))".format(left, right, shift_mask)
         if op == ">>>":
             mask = "0xFFFFFFFFFFFFFFFF" if is_long else "0xFFFFFFFF"
-            return "((({}) & {}) >> (({}) & {}))".format(
-                left, mask, right, shift_mask
+            return "{}((({}) & {}) >> (({}) & {}))".format(
+                wrap, left, mask, right, shift_mask
             )
         if op == "&&":
-            return "(({}) and ({}))".format(left, right)
+            return self.AND.format(left, right)
         if op == "||":
-            return "(({}) or ({}))".format(left, right)
+            return self.OR.format(left, right)
         return "(({}) {} ({}))".format(left, op, right)
-
-    def _cast(self, e):
-        inner = self.expr(e.expr)
-        if isinstance(e.ktype, K.KScalar):
-            kind = e.ktype.kind
-            if kind == "int":
-                return "_i32(int({}))".format(inner)
-            if kind == "long":
-                return "_i64(int({}))".format(inner)
-            if kind == "char":
-                return "_i8(int({}))".format(inner)
-            if kind == "float":
-                return "_f32({})".format(inner)
-            if kind == "double":
-                return "float({})".format(inner)
-            if kind == "bool":
-                return "bool({})".format(inner)
-        return inner
 
     def _call(self, e):
         if e.name in _WORKITEM_FUNCS:
-            return _WORKITEM_FUNCS[e.name]
+            return self._workitem(e.name)
         self.charge(e)
-        if e.name in _MATH_ONE:
-            return "{}({})".format(_MATH_ONE[e.name], self.expr(e.args[0]))
-        if e.name in _MATH_TWO:
-            return "{}({}, {})".format(
-                _MATH_TWO[e.name], self.expr(e.args[0]), self.expr(e.args[1])
+        if e.name in _MATH:
+            return "{}({})".format(
+                _MATH[e.name][self.TIER], ", ".join(self.expr(a) for a in e.args)
             )
         raise DeviceError("unknown device builtin '{}'".format(e.name))
+
+    def _workitem(self, name):
+        return _WORKITEM_FUNCS[name]
 
     def _register_site(self, node, is_store):
         ktype = node.ktype
@@ -469,66 +495,48 @@ class _Codegen:
             space, array = node.space, node.array
         self.sites[node.site] = (space, elem_bytes, width, is_store, array)
 
+    def _trace(self, site, index):
+        self.emit("_tr{}(( _gid, {} ))".format(site, index))
+
     def _load(self, e):
+        """A buffer load, or an image read: a 4-wide load at ``coord``."""
         if e.site < 0:
             raise DeviceError("load without a site id (run assign_sites)")
         self._register_site(e, is_store=False)
-        index = self.expr(e.index)
+        image = isinstance(e, K.KImageLoad)
+        index = self.expr(e.coord if image else e.index)
         temp = self.fresh()
         idx_var = self.fresh()
         self.emit("{} = {}".format(idx_var, index))
         if self.sanitize:
             self.emit("_ck{}({})".format(e.site, idx_var))
-        array = _bufname(e.array, e.space)
-        if isinstance(e.ktype, K.KVector):
-            width = e.ktype.width
-            self.emit(
-                "{} = {}[{} * {} : {} * {} + {}]".format(
-                    temp, array, idx_var, width, idx_var, width, width
-                )
-            )
-        elif e.space is K.Space.PRIVATE:
-            # Private arrays are per-item; no trace needed.
-            self.emit("{} = {}[{}].item()".format(temp, array, idx_var))
-            return temp
+        if image:
+            array = _bufname(e.image, K.Space.GLOBAL)
         else:
-            self.emit("{} = {}[{}].item()".format(temp, array, idx_var))
-        self.emit("_tr{}(( _gid, {} ))".format(e.site, idx_var))
+            array = _bufname(e.array, e.space)
+        self.emit("{} = {}".format(temp, self._load_form(e, array, idx_var)))
+        # Private arrays are per-item; no trace needed.
+        if isinstance(e.ktype, K.KVector) or e.space is not K.Space.PRIVATE:
+            self._trace(e.site, idx_var)
         return temp
 
-    def _image_load(self, e):
-        if e.site < 0:
-            raise DeviceError("image load without a site id")
-        self._register_site(e, is_store=False)
-        coord = self.expr(e.coord)
-        temp = self.fresh()
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, coord))
-        if self.sanitize:
-            self.emit("_ck{}({})".format(e.site, idx_var))
-        width = e.ktype.width
-        self.emit(
-            "{} = {}[{} * {} : {} * {} + {}]".format(
-                temp,
-                _bufname(e.image, K.Space.GLOBAL),
-                idx_var,
-                width,
-                idx_var,
-                width,
-                width,
-            )
-        )
-        self.emit("_tr{}(( _gid, {} ))".format(e.site, idx_var))
-        return temp
+    def _load_form(self, e, array, index):
+        if isinstance(e.ktype, K.KVector):
+            return _slice(array, index, e.ktype.width)
+        return "{}[{}].item()".format(array, index)
 
     # -- statements ------------------------------------------------------------
 
     def stmt(self, s):
+        self._check_node(s)
         if isinstance(s, K.KDecl):
             init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
+            init = self._materialize(s.name, init, s.ktype)
             self.emit("{} = {}".format(_pyname(s.name), init))
+            self._declare(s.name)
         elif isinstance(s, K.KAssign):
-            self.emit("{} = {}".format(_pyname(s.name), self.expr(s.value)))
+            value = self._materialize(s.name, self.expr(s.value))
+            self.emit("{} = {}".format(_pyname(s.name), value))
         elif isinstance(s, K.KStore):
             self._store(s)
         elif isinstance(s, K.KIf):
@@ -541,53 +549,14 @@ class _Codegen:
                 self._block(s.otherwise)
             self.close_segment()
         elif isinstance(s, K.KFor):
-            var = _pyname(s.var)
-            self.emit("{} = {}".format(var, self.expr(s.lo)))
-            hi = self.fresh()
-            self.emit("{} = {}".format(hi, self.expr(s.hi)))
-            step = self.fresh()
-            self.emit("{} = {}".format(step, self.expr(s.step)))
-            self.close_segment()
-            self.emit("while {} < {}:".format(var, hi))
-            self.indent += 1
-            if self.sanitize:
-                self.emit("_wd()")
-            self._segment()["cmp"] += 1
-            self._segment()["branch"] += 1
-            self._segment()["int"] += 1  # induction update
-            if _has_loop_jumps(s.body):
-                # A bare Python `continue` would skip the induction
-                # update: wrap the body in a one-iteration loop so
-                # `continue` becomes `break` out of the wrapper and the
-                # update still runs; `break` sets a flag checked after.
-                brk = self.fresh()
-                self.emit("{} = False".format(brk))
-                self.emit("for _once in (0,):")
-                self.indent += 1
-                self.loop_stack.append(("wrapped", brk))
-                for child in s.body:
-                    self.stmt(child)
-                self.loop_stack.pop()
-                self.indent -= 1
-                self.close_segment()
-                self.emit("if {}:".format(brk))
-                self.emit("    break")
-            else:
-                self.loop_stack.append(("plain", None))
-                for child in s.body:
-                    self.stmt(child)
-                self.loop_stack.pop()
-            self.emit("{} += {}".format(var, step))
-            self.indent -= 1
-            self.close_segment()
+            self._for(s)
         elif isinstance(s, K.KWhile):
             self.close_segment()
             self.emit("while {}:".format(self.expr(s.cond)))
             self.indent += 1
             if self.sanitize:
                 self.emit("_wd()")
-            self._segment()["cmp"] += 1
-            self._segment()["branch"] += 1
+            self._iteration(induction=0)
             self.loop_stack.append(("plain", None))
             for child in s.body:
                 self.stmt(child)
@@ -617,6 +586,13 @@ class _Codegen:
         else:
             raise DeviceError("cannot execute {}".format(type(s).__name__))
 
+    def _materialize(self, name, value, ktype=None):
+        """The value a declaration or assignment stores (batch override)."""
+        return value
+
+    def _declare(self, name):
+        """Note that ``name`` is declared here (batch override)."""
+
     def _block(self, stmts):
         self.indent += 1
         self.close_segment()
@@ -624,6 +600,52 @@ class _Codegen:
             self.emit("pass")
         for child in stmts:
             self.stmt(child)
+        self.indent -= 1
+        self.close_segment()
+
+    def _loop_bounds(self, s, start):
+        """Emit ``start`` formatted with the loop's lower bound, then
+        its upper bound and step; return the bound and step temps."""
+        self.emit(start.format(self.expr(s.lo)))
+        hi = self.fresh()
+        self.emit("{} = {}".format(hi, self.expr(s.hi)))
+        step = self.fresh()
+        self.emit("{} = {}".format(step, self.expr(s.step)))
+        self.close_segment()
+        return hi, step
+
+    def _for(self, s):
+        var = _pyname(s.var)
+        hi, step = self._loop_bounds(s, var + " = {}")
+        self.emit("while {} < {}:".format(var, hi))
+        self.indent += 1
+        if self.sanitize:
+            self.emit("_wd()")
+        self._iteration(induction=1)
+        self._declare(s.var)
+        if _has_loop_jumps(s.body):
+            # A bare Python `continue` would skip the induction
+            # update: wrap the body in a one-iteration loop so
+            # `continue` becomes `break` out of the wrapper and the
+            # update still runs; `break` sets a flag checked after.
+            brk = self.fresh()
+            self.emit("{} = False".format(brk))
+            self.emit("for _once in (0,):")
+            self.indent += 1
+            self.loop_stack.append(("wrapped", brk))
+            for child in s.body:
+                self.stmt(child)
+            self.loop_stack.pop()
+            self.indent -= 1
+            self.close_segment()
+            self.emit("if {}:".format(brk))
+            self.emit("    break")
+        else:
+            self.loop_stack.append(("plain", None))
+            for child in s.body:
+                self.stmt(child)
+            self.loop_stack.pop()
+        self.emit("{} += {}".format(var, step))
         self.indent -= 1
         self.close_segment()
 
@@ -641,67 +663,59 @@ class _Codegen:
             self.emit("_ck{}({}, {})".format(s.site, idx_var, val_var))
             value = val_var
         array = _bufname(s.array, s.space)
-        if isinstance(s.ktype, K.KVector):
-            width = s.ktype.width
-            self.emit(
-                "{}[{} * {} : {} * {} + {}] = {}".format(
-                    array, idx_var, width, idx_var, width, width, value
-                )
-            )
-        else:
-            self.emit("{}[{}] = {}".format(array, idx_var, value))
+        self.emit(self._store_form(s, array, idx_var, value))
         if s.space is not K.Space.PRIVATE:
-            self.emit("_tr{}(( _gid, {} ))".format(s.site, idx_var))
+            self._trace(s.site, idx_var)
+
+    def _store_form(self, s, array, index, value):
+        if isinstance(s.ktype, K.KVector):
+            return "{} = {}".format(_slice(array, index, s.ktype.width), value)
+        return "{}[{}] = {}".format(array, index, value)
 
     # -- top level --------------------------------------------------------------
 
     def generate(self):
         kernel = self.kernel
-        buffer_args = [
-            _bufname(p.name, p.space) for p in kernel.params if p.is_pointer
-        ]
-        scalar_args = [_pyname(p.name) for p in kernel.params if not p.is_pointer]
-        local_args = [
-            _bufname(a.name, a.space)
-            for a in kernel.arrays
-            if a.space is K.Space.LOCAL
-        ]
-        trace_args = []  # filled after body generation
-        header_placeholder = len(self.lines)
-
         # Private array declarations come first.
-        body_start = len(self.lines)
         for arr in kernel.arrays:
             if arr.space is K.Space.PRIVATE:
                 self.emit(
                     "{} = np.zeros({}, dtype={})".format(
                         _bufname(arr.name, arr.space),
-                        arr.size,
+                        self.PRIVATE_SHAPE.format(arr.size),
                         _np_dtype(arr.ktype),
                     )
                 )
         for stmt in kernel.body:
             self.stmt(stmt)
+        header = self._header(
+            [_bufname(p.name, p.space) for p in kernel.params if p.is_pointer]
+            + [_pyname(p.name) for p in kernel.params if not p.is_pointer]
+        )
+        return "\n".join([header] + self.lines), self.segments, self.sites
+
+    def _header(self, args):
+        """Finish the function body; return its ``def`` line, given the
+        kernel's buffer and scalar parameters."""
         if not self.has_barrier:
             # Make every item function a generator uniformly.
             self.emit("if False:")
             self.emit("    yield 0")
-
-        trace_args = ["_tr{}".format(site) for site in sorted(self.sites)]
         params = (
             ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp", "_segc"]
-            + buffer_args
-            + scalar_args
-            + local_args
-            + trace_args
+            + args
+            + [
+                _bufname(a.name, a.space)
+                for a in self.kernel.arrays
+                if a.space is K.Space.LOCAL
+            ]
+            + ["_tr{}".format(site) for site in sorted(self.sites)]
         )
         if self.sanitize:
             params += ["_wd"] + [
                 "_ck{}".format(site) for site in sorted(self.sites)
             ]
-        header = "def _item({}):".format(", ".join(params))
-        source = [header] + self.lines
-        return "\n".join(source), self.segments, self.sites
+        return "def _item({}):".format(", ".join(params))
 
 
 def _has_loop_jumps(stmts):
@@ -719,6 +733,19 @@ def _has_loop_jumps(stmts):
 
 def _pyname(name):
     return "v_" + name
+
+
+def _is_long(ktype):
+    return isinstance(ktype, K.KScalar) and ktype.kind == "long"
+
+
+def _is_int(ktype):
+    return isinstance(ktype, K.KScalar) and ktype.kind in ("int", "long", "char")
+
+
+def _slice(array, index, width):
+    """A per-item vector access: ``width`` elements at ``index``."""
+    return "{0}[{1} * {2} : {1} * {2} + {2}]".format(array, index, width)
 
 
 def _bufname(name, space):
@@ -876,11 +903,7 @@ def _check_batch_expr(e, varying, lazy):
     elif isinstance(e, K.KCall):
         if e.name in ("rsqrt", "native_rsqrt") and lazy:
             raise _Ineligible("rsqrt on a lazily-evaluated path")
-        if (
-            e.name not in _WORKITEM_FUNCS
-            and e.name not in _MATH_ONE
-            and e.name not in _MATH_TWO
-        ):
+        if e.name not in _WORKITEM_FUNCS and e.name not in _MATH:
             raise _Ineligible("unknown builtin '{}'".format(e.name))
         for a in e.args:
             _check_batch_expr(a, varying, lazy)
@@ -967,46 +990,15 @@ def batch_eligibility(kernel):
     return True, ""
 
 
-_BATCH_MATH_ONE = {
-    "sqrt": "_vsqrt",
-    "native_sqrt": "_vsqrt",
-    "rsqrt": "_vrsqrt",
-    "native_rsqrt": "_vrsqrt",
-    "sin": "_vsin",
-    "native_sin": "_vsin",
-    "cos": "_vcos",
-    "native_cos": "_vcos",
-    "tan": "_vtan",
-    "native_tan": "_vtan",
-    "exp": "_vexp",
-    "native_exp": "_vexp",
-    "log": "_vlog",
-    "native_log": "_vlog",
-    "floor": "_vfloor",
-    "ceil": "_vceil",
-    "fabs": "abs",
-    "abs": "abs",
-}
-_BATCH_MATH_TWO = {
-    "pow": "_vpow",
-    "native_powr": "_vpow",
-    "atan2": "_vatan2",
-    "hypot": "_vhypot",
-    "min": "_vmin",
-    "max": "_vmax",
-    "fmin": "_vmin",
-    "fmax": "_vmax",
-}
-
-
-class _BatchCodegen:
+class _BatchCodegen(_Codegen):
     """Translates one batch-eligible kernel to a whole-ndrange function.
 
-    The traversal mirrors :class:`_Codegen` statement for statement so
-    the straight-line segments and access sites come out *identical* —
-    :class:`CompiledKernel` asserts this at build time — and the op
-    counters/memory trace (hence the simulated timing) match the
-    per-item tier exactly. Values aligned to the active lane set:
+    The traversal is :class:`_Codegen`'s, so the straight-line segments
+    and access sites come out the same as per-item — :class:`CompiledKernel`
+    asserts this at build time — and the op counters/memory trace (hence
+    the simulated timing) match the per-item tier exactly. The overrides
+    below only respell values as lane arrays aligned to the active lane
+    set:
 
     - at depth 0 (outside the grid-stride loop) every lane is active;
       varying values are full-length arrays aligned to ``_G0``
@@ -1015,17 +1007,28 @@ class _BatchCodegen:
       lanes whose induction value is still below the bound); varying
       values are arrays aligned to it, and reads of varying variables
       declared outside re-align via ``[_A1]``.
+
+    Nodes outside the batch subset raise :class:`DeviceError`, which
+    demotes the kernel to per-item.
     """
 
+    TIER = 1
+    NOT = "_vnot({})"
+    AND = "_vand({}, {})"
+    OR = "_vor({}, {})"
+    FDIV = "_vfdiv({}, {})"
+    IDIV = "_vidiv({}, {})"
+    IREM = "_virem({}, {})"
+    WRAP = ("_vi32", "_vi64")
+    VEXT = "_vext({}, {})"
+    VBUILD = "_vbuild([{0}], {1}, {2})"
+    PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: a column each
+    LANE_IDS = {"get_global_id": "_G", "get_local_id": "_L", "get_group_id": "_R"}
+    STATEMENTS = (K.KDecl, K.KAssign, K.KStore, K.KFor, K.KComment)
+
     def __init__(self, kernel, varying):
-        self.kernel = kernel
+        super().__init__(kernel)
         self.varying = varying
-        self.lines = []
-        self.indent = 1
-        self.temp = 0
-        self.segments = []
-        self.current_segment = None
-        self.sites = {}
         self.depth = 0
         self.var_depth = {}
         names = set()
@@ -1036,299 +1039,98 @@ class _BatchCodegen:
         self.uses_lid = "get_local_id" in names
         self.uses_grp = "get_group_id" in names
 
-    # -- emission helpers (same shape as _Codegen) --------------------------
-
-    def emit(self, line):
-        self.lines.append("    " * self.indent + line)
-
-    def fresh(self):
-        self.temp += 1
-        return "_t{}".format(self.temp)
-
-    def _segment(self):
-        if self.current_segment is None:
-            seg_id = len(self.segments)
-            self.segments.append(
-                {
-                    "int": 0,
-                    "long": 0,
-                    "fp": 0,
-                    "dp": 0,
-                    "cmp": 0,
-                    "branch": 0,
-                    "trans_f": 0,
-                    "trans_d": 0,
-                }
-            )
-            self.emit("_segc[{}] += _n{}".format(seg_id, self.depth))
-            self.current_segment = self.segments[seg_id]
-        return self.current_segment
-
-    def close_segment(self):
-        self.current_segment = None
-
-    def charge(self, expr):
-        op = _op_class(expr)
-        if op is not None:
-            kind, n = op
-            self._segment()[kind] += n
-
-    def _lanes(self):
-        return "_G{}".format(self.depth)
-
-    # -- expressions --------------------------------------------------------
-
-    def expr(self, e):
-        if isinstance(e, K.KConst):
-            if isinstance(e.value, bool):
-                return "True" if e.value else "False"
-            if isinstance(e.value, float):
-                if e.value != e.value:
-                    return "math.nan"
-                if e.value == float("inf"):
-                    return "math.inf"
-                if e.value == float("-inf"):
-                    return "(-math.inf)"
-            return repr(e.value)
-        if isinstance(e, K.KVar):
-            name = _pyname(e.name)
-            if (
-                self.depth == 1
-                and self.var_depth.get(e.name, 0) == 0
-                and e.name in self.varying
-            ):
-                return "{}[_A1]".format(name)
-            return name
-        if isinstance(e, K.KUn):
-            self.charge(e)
-            operand = self.expr(e.operand)
-            if e.op == "!":
-                return "_vnot({})".format(operand)
-            if e.op == "~":
-                return "(_vi32(~({})))".format(operand)
-            return "({}{})".format(e.op, operand)
-        if isinstance(e, K.KBin):
-            return self._binary(e)
-        if isinstance(e, K.KSelect):
-            self.charge(e)
-            return "_vsel({}, {}, {})".format(
-                self.expr(e.cond), self.expr(e.then), self.expr(e.otherwise)
-            )
-        if isinstance(e, K.KCast):
-            return self._cast(e)
-        if isinstance(e, K.KCall):
-            return self._call(e)
-        if isinstance(e, K.KLoad):
-            return self._load(e)
-        if isinstance(e, K.KVecExtract):
-            return "_vext({}, {})".format(self.expr(e.vec), e.lane)
-        if isinstance(e, K.KVecBuild):
-            elems = ", ".join(self.expr(x) for x in e.elems)
-            return "_vbuild([{}], {}, _n{})".format(
-                elems, _np_dtype(e.ktype.base), self.depth
-            )
-        raise DeviceError(
-            "cannot batch-compile {}".format(type(e).__name__)
-        )
-
-    def _binary(self, e):
-        self.charge(e)
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        op = e.op
-        is_long = isinstance(e.ktype, K.KScalar) and e.ktype.kind == "long"
-        is_int = isinstance(e.ktype, K.KScalar) and e.ktype.kind in (
-            "int",
-            "long",
-            "char",
-        )
-        wrap = "_vi64" if is_long else "_vi32"
-        shift_mask = 63 if is_long else 31
-        if op == "/" and is_int:
-            return "_vidiv({}, {})".format(left, right)
-        if op == "%" and is_int:
-            return "_virem({}, {})".format(left, right)
-        if op == "/" and not isinstance(e.ktype, K.KVector):
-            return "_vfdiv({}, {})".format(left, right)
-        if op in ("*", "+", "-") and is_int:
-            return "{}(({}) {} ({}))".format(wrap, left, op, right)
-        if op == "<<":
-            return "{}(({}) << (({}) & {}))".format(
-                wrap, left, right, shift_mask
-            )
-        if op == ">>":
-            return "(({}) >> (({}) & {}))".format(left, right, shift_mask)
-        if op == ">>>":
-            if is_long:
-                raise DeviceError("64-bit >>> is not batch-compilable")
-            return "((({}) & 0xFFFFFFFF) >> (({}) & {}))".format(
-                left, right, shift_mask
-            )
-        if op == "&&":
-            return "_vand({}, {})".format(left, right)
-        if op == "||":
-            return "_vor({}, {})".format(left, right)
-        return "(({}) {} ({}))".format(left, op, right)
-
-    def _cast(self, e):
-        inner = self.expr(e.expr)
-        if isinstance(e.ktype, K.KScalar):
-            kind = e.ktype.kind
-            if kind == "int":
-                return "_vci32({})".format(inner)
-            if kind == "long":
-                return "_vci64({})".format(inner)
-            if kind == "char":
-                return "_vci8({})".format(inner)
-            if kind == "float":
-                return "_vcf32({})".format(inner)
-            if kind == "double":
-                return "_vcdbl({})".format(inner)
-            if kind == "bool":
-                return "_vcbool({})".format(inner)
-        return inner
-
-    def _call(self, e):
-        if e.name in _WORKITEM_FUNCS:
-            base = _WORKITEM_FUNCS[e.name]
-            if base == "_gid":
-                return self._lanes()
-            if base == "_lid":
-                return "_L{}".format(self.depth)
-            if base == "_grp":
-                return "_R{}".format(self.depth)
-            return base  # _lsz / _gsz / _ngrp are uniform scalars
-        self.charge(e)
-        if e.name in _BATCH_MATH_ONE:
-            return "{}({})".format(
-                _BATCH_MATH_ONE[e.name], self.expr(e.args[0])
-            )
-        if e.name in _BATCH_MATH_TWO:
-            return "{}({}, {})".format(
-                _BATCH_MATH_TWO[e.name],
-                self.expr(e.args[0]),
-                self.expr(e.args[1]),
-            )
-        raise DeviceError("unknown device builtin '{}'".format(e.name))
-
-    def _register_site(self, node, is_store):
-        ktype = node.ktype
-        if isinstance(ktype, K.KVector):
-            elem_bytes = ktype.base.size
-            width = ktype.width
-        else:
-            elem_bytes = ktype.size
-            width = 1
-        self.sites[node.site] = (
-            node.space,
-            elem_bytes,
-            width,
-            is_store,
-            node.array,
-        )
-
-    def _load(self, e):
-        if e.site < 0:
-            raise DeviceError("load without a site id (run assign_sites)")
-        self._register_site(e, is_store=False)
-        index = self.expr(e.index)
-        temp = self.fresh()
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
-        array = _bufname(e.array, e.space)
-        if isinstance(e.ktype, K.KVector):
-            self.emit(
-                "{} = _vload({}, {}, {})".format(
-                    temp, array, idx_var, e.ktype.width
-                )
-            )
-        elif e.space is K.Space.PRIVATE:
-            self.emit(
-                "{} = _pload({}, {}, {})".format(
-                    temp, array, idx_var, self._cols()
-                )
-            )
-            return temp
-        else:
-            self.emit("{} = _gload({}, {})".format(temp, array, idx_var))
-        self.emit(
-            "_tr{}({}, {}, _n{})".format(
-                e.site, self._lanes(), idx_var, self.depth
-            )
-        )
-        return temp
+    def _lane_count(self):
+        return "_n{}".format(self.depth)
 
     def _cols(self):
         # Column selector for private (per-lane) arrays: lane position
         # == global id, so the active-lane index array doubles as it.
         return "_G0" if self.depth == 0 else "_A1"
 
-    # -- statements ---------------------------------------------------------
+    # -- expressions --------------------------------------------------------
 
-    def stmt(self, s):
-        if isinstance(s, K.KDecl):
-            init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
-            if (
-                self.depth == 0
-                and s.name in self.varying
-                and not isinstance(s.ktype, K.KVector)
-            ):
-                init = "_mat({}, _n0)".format(init)
-            self.emit("{} = {}".format(_pyname(s.name), init))
-            self.var_depth[s.name] = self.depth
-        elif isinstance(s, K.KAssign):
-            rhs = self.expr(s.value)
-            if self.depth == 0 and s.name in self.varying:
-                rhs = "_mat({}, _n0)".format(rhs)
-            self.emit("{} = {}".format(_pyname(s.name), rhs))
-        elif isinstance(s, K.KStore):
-            self._store(s)
-        elif isinstance(s, K.KFor):
-            self._for(s)
-        elif isinstance(s, K.KComment):
-            self.emit("# {}".format(s.text))
-        else:
+    def _check_node(self, node):
+        if isinstance(node, K.KImageLoad):
+            raise DeviceError("cannot batch-compile KImageLoad")
+        if isinstance(node, K.KBin) and node.op == ">>>" and _is_long(node.ktype):
+            raise DeviceError("64-bit >>> is not batch-compilable")
+        if isinstance(node, K.KStmt) and not isinstance(node, self.STATEMENTS):
             raise DeviceError(
-                "cannot batch-execute {}".format(type(s).__name__)
+                "cannot batch-execute {}".format(type(node).__name__)
             )
 
-    def _for(self, s):
-        stride = any(
-            _expr_varying(b, self.varying) for b in (s.lo, s.hi, s.step)
+    def _var(self, name):
+        if (
+            self.depth == 1
+            and self.var_depth.get(name, 0) == 0
+            and name in self.varying
+        ):
+            return "{}[_A1]".format(_pyname(name))
+        return _pyname(name)
+
+    def _select(self, e):
+        return "_vsel({}, {}, {})".format(
+            self.expr(e.cond), self.expr(e.then), self.expr(e.otherwise)
         )
-        if stride and self.depth == 0:
+
+    def _workitem(self, name):
+        if name in self.LANE_IDS:
+            return self.LANE_IDS[name] + str(self.depth)
+        return super()._workitem(name)  # _lsz / _gsz / _ngrp: uniform
+
+    def _trace(self, site, index):
+        self.emit(
+            "_tr{}(_G{}, {}, _n{})".format(site, self.depth, index, self.depth)
+        )
+
+    def _load_form(self, e, array, index):
+        if isinstance(e.ktype, K.KVector):
+            return "_vload({}, {}, {})".format(array, index, e.ktype.width)
+        if e.space is K.Space.PRIVATE:
+            return "_pload({}, {}, {})".format(array, index, self._cols())
+        return "_gload({}, {})".format(array, index)
+
+    def _store_form(self, s, array, index, value):
+        if isinstance(s.ktype, K.KVector):
+            return "_vstore({}, {}, {}, {})".format(
+                array, index, value, s.ktype.width
+            )
+        if s.space is K.Space.PRIVATE:
+            return "_pstore({}, {}, {}, {})".format(
+                array, index, self._cols(), value
+            )
+        return "_gstore({}, {}, {})".format(array, index, value)
+
+    # -- statements ---------------------------------------------------------
+
+    def _declare(self, name):
+        self.var_depth[name] = self.depth
+
+    def _materialize(self, name, value, ktype=None):
+        # Outside the stride loop a varying variable holds a full-length
+        # lane array, even when this value is uniform.
+        if (
+            self.depth == 0
+            and name in self.varying
+            and not isinstance(ktype, K.KVector)
+        ):
+            return "_mat({}, _n0)".format(value)
+        return value
+
+    def _for(self, s):
+        if self.depth == 0 and any(
+            _expr_varying(b, self.varying) for b in (s.lo, s.hi, s.step)
+        ):
             self._stride_loop(s)
             return
         # Uniform trip count: a plain (scalar) Python loop, every
         # active lane marches through it in lockstep.
-        var = _pyname(s.var)
-        self.emit("{} = {}".format(var, self.expr(s.lo)))
-        hi = self.fresh()
-        self.emit("{} = {}".format(hi, self.expr(s.hi)))
-        step = self.fresh()
-        self.emit("{} = {}".format(step, self.expr(s.step)))
-        self.close_segment()
-        self.emit("while {} < {}:".format(var, hi))
-        self.indent += 1
-        self._segment()["cmp"] += 1
-        self._segment()["branch"] += 1
-        self._segment()["int"] += 1  # induction update
-        self.var_depth[s.var] = self.depth
-        for child in s.body:
-            self.stmt(child)
-        self.emit("{} += {}".format(var, step))
-        self.indent -= 1
-        self.close_segment()
+        super()._for(s)
 
     def _stride_loop(self, s):
-        var = _pyname(s.var)
-        lo = self.expr(s.lo)
-        self.emit("_cur = np.array(_mat({}, _n0), dtype=np.int64)".format(lo))
-        hi = self.fresh()
-        self.emit("{} = {}".format(hi, self.expr(s.hi)))
-        step = self.fresh()
-        self.emit("{} = {}".format(step, self.expr(s.step)))
-        self.close_segment()
+        hi, step = self._loop_bounds(
+            s, "_cur = np.array(_mat({}, _n0), dtype=np.int64)"
+        )
         self.emit("while True:")
         self.indent += 1
         self.emit("_A1 = np.nonzero(_cur < {})[0]".format(hi))
@@ -1340,12 +1142,10 @@ class _BatchCodegen:
             self.emit("_L1 = _L0[_A1]")
         if self.uses_grp:
             self.emit("_R1 = _R0[_A1]")
-        self.emit("{} = _cur[_A1]".format(var))
+        self.emit("{} = _cur[_A1]".format(_pyname(s.var)))
         self.depth = 1
-        self._segment()["cmp"] += 1
-        self._segment()["branch"] += 1
-        self._segment()["int"] += 1  # induction update
-        self.var_depth[s.var] = 1
+        self._iteration(induction=1)
+        self._declare(s.var)
         for child in s.body:
             self.stmt(child)
         self.emit("_cur = _cur + ({})".format(step))
@@ -1353,68 +1153,13 @@ class _BatchCodegen:
         self.indent -= 1
         self.close_segment()
 
-    def _store(self, s):
-        if s.site < 0:
-            raise DeviceError("store without a site id (run assign_sites)")
-        self._register_site(s, is_store=True)
-        index = self.expr(s.index)
-        value = self.expr(s.value)
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
-        array = _bufname(s.array, s.space)
-        if isinstance(s.ktype, K.KVector):
-            self.emit(
-                "_vstore({}, {}, {}, {})".format(
-                    array, idx_var, value, s.ktype.width
-                )
-            )
-        elif s.space is K.Space.PRIVATE:
-            self.emit(
-                "_pstore({}, {}, {}, {})".format(
-                    array, idx_var, self._cols(), value
-                )
-            )
-            return
-        else:
-            self.emit("_gstore({}, {}, {})".format(array, idx_var, value))
-        self.emit(
-            "_tr{}({}, {}, _n{})".format(
-                s.site, self._lanes(), idx_var, self.depth
-            )
-        )
-
-    # -- top level ----------------------------------------------------------
-
-    def generate(self):
-        kernel = self.kernel
-        buffer_args = [
-            _bufname(p.name, p.space) for p in kernel.params if p.is_pointer
-        ]
-        scalar_args = [
-            _pyname(p.name) for p in kernel.params if not p.is_pointer
-        ]
-        for arr in kernel.arrays:
-            if arr.space is K.Space.PRIVATE:
-                # Per-lane private storage: one column per work-item.
-                self.emit(
-                    "{} = np.zeros(({}, _gsz), dtype={})".format(
-                        _bufname(arr.name, arr.space),
-                        arr.size,
-                        _np_dtype(arr.ktype),
-                    )
-                )
-        for stmt in kernel.body:
-            self.stmt(stmt)
-        trace_args = ["_tr{}".format(site) for site in sorted(self.sites)]
+    def _header(self, args):
         params = (
             ["_G0", "_L0", "_R0", "_lsz", "_gsz", "_ngrp", "_n0", "_segc"]
-            + buffer_args
-            + scalar_args
-            + trace_args
+            + args
+            + ["_tr{}".format(site) for site in sorted(self.sites)]
         )
-        header = "def _batch({}):".format(", ".join(params))
-        source = [header] + self.lines
-        return "\n".join(source), self.segments, self.sites
+        return "def _batch({}):".format(", ".join(params))
 
 
 # ---------------------------------------------------------------------------
@@ -1487,9 +1232,13 @@ def _vi64(x):
 
 def _toint(x):
     if isinstance(x, np.ndarray):
-        if x.dtype.kind == "f":
+        if x.dtype.kind != "f":
+            return x.astype(np.int64)
+        if np.all(np.abs(x) < 2.0**63):
             return np.trunc(x).astype(np.int64)
-        return x.astype(np.int64)
+        # NaN, infinity or beyond int64: per lane through int(), which
+        # raises or wraps exactly like the per-item cast.
+        return np.array([_i64(int(v)) for v in x.tolist()], dtype=np.int64)
     return int(x)
 
 
@@ -1664,15 +1413,20 @@ _vatan2 = _lift2(math.atan2)
 _vhypot = _lift2(math.hypot)
 
 
+def _upcast(vals):
+    """Lane values in the per-item tier's Python types: float64, bool
+    or int64."""
+    if vals.dtype.kind == "f":
+        return vals.astype(np.float64)
+    if vals.dtype.kind == "b":
+        return vals
+    return vals.astype(np.int64)
+
+
 def _gload(buf, ix):
     """Global/constant gather; mirrors ``buf[ix].item()`` per lane."""
     if isinstance(ix, np.ndarray):
-        vals = buf[ix]
-        if vals.dtype.kind == "f":
-            return vals.astype(np.float64)
-        if vals.dtype.kind == "b":
-            return vals
-        return vals.astype(np.int64)
+        return _upcast(buf[ix])
     return buf[ix].item()
 
 
@@ -1690,12 +1444,7 @@ def _gstore(buf, ix, val):
 
 def _pload(arr, ix, cols):
     """Private (per-lane columns) gather with the per-item upcast."""
-    vals = arr[ix, cols]
-    if vals.dtype.kind == "f":
-        return vals.astype(np.float64)
-    if vals.dtype.kind == "b":
-        return vals
-    return vals.astype(np.int64)
+    return _upcast(arr[ix, cols])
 
 
 def _pstore(arr, ix, cols, val):
@@ -1721,12 +1470,7 @@ def _vstore(buf, ix, val, width):
 
 def _vext(vec, lane):
     if isinstance(vec, np.ndarray) and vec.ndim == 2:
-        col = vec[:, lane]
-        if col.dtype.kind == "f":
-            return col.astype(np.float64)
-        if col.dtype.kind == "b":
-            return col
-        return col.astype(np.int64)
+        return _upcast(vec[:, lane])
     return vec[lane].item()
 
 
@@ -1799,6 +1543,14 @@ _GLOBALS = {
 # ---------------------------------------------------------------------------
 
 
+def _exec_source(source, label, function):
+    """Compile generated ``source`` under the file name ``label``;
+    return the function it defines."""
+    namespace = dict(_GLOBALS)
+    exec(compile(source, label, "exec"), namespace)
+    return namespace[function]
+
+
 class CompiledKernel:
     """A kernel ready to launch on the simulator."""
 
@@ -1807,9 +1559,9 @@ class CompiledKernel:
         self.kernel = kernel
         codegen = _Codegen(kernel)
         self.source, self.segments, self.site_meta = codegen.generate()
-        namespace = dict(_GLOBALS)
-        exec(compile(self.source, "<kernel:{}>".format(kernel.name), "exec"), namespace)
-        self._item = namespace["_item"]
+        self._item = _exec_source(
+            self.source, "<kernel:{}>".format(kernel.name), "_item"
+        )
         _count_codegen()
         # The instrumented (sanitized) variant is compiled lazily — a
         # guard-free launch never even builds it, keeping the fast path
@@ -1864,44 +1616,26 @@ class CompiledKernel:
         self.source = art["source"]
         self.segments = art["segments"]
         self.site_meta = art["site_meta"]
-        namespace = dict(_GLOBALS)
-        exec(
-            compile(
-                self.source,
-                "<kernel:{}:disk>".format(self.kernel.name),
-                "exec",
-            ),
-            namespace,
+        name = self.kernel.name
+        self._item = _exec_source(
+            self.source, "<kernel:{}:disk>".format(name), "_item"
         )
-        self._item = namespace["_item"]
         self.sanitized_source = art["sanitized_source"]
         self._sanitized_item_fn = None
         if self.sanitized_source is not None:
-            namespace = dict(_GLOBALS)
-            exec(
-                compile(
-                    self.sanitized_source,
-                    "<kernel:{}:sanitized:disk>".format(self.kernel.name),
-                    "exec",
-                ),
-                namespace,
+            self._sanitized_item_fn = _exec_source(
+                self.sanitized_source,
+                "<kernel:{}:sanitized:disk>".format(name),
+                "_item",
             )
-            self._sanitized_item_fn = namespace["_item"]
         self.batch_supported = art["batch_supported"]
         self.batch_reason = art["batch_reason"]
         self.batch_source = art["batch_source"]
         self._batch_fn = None
         if self.batch_source is not None:
-            namespace = dict(_GLOBALS)
-            exec(
-                compile(
-                    self.batch_source,
-                    "<kernel:{}:batch:disk>".format(self.kernel.name),
-                    "exec",
-                ),
-                namespace,
+            self._batch_fn = _exec_source(
+                self.batch_source, "<kernel:{}:batch:disk>".format(name), "_batch"
             )
-            self._batch_fn = namespace["_batch"]
         self._lazy_lock = threading.Lock()
         return self
 
@@ -1913,16 +1647,11 @@ class CompiledKernel:
                 codegen = _Codegen(self.kernel, sanitize=True)
                 source, _segments, _sites = codegen.generate()
                 self.sanitized_source = source
-                namespace = dict(_GLOBALS)
-                exec(
-                    compile(
-                        source,
-                        "<kernel:{}:sanitized>".format(self.kernel.name),
-                        "exec",
-                    ),
-                    namespace,
+                self._sanitized_item_fn = _exec_source(
+                    source,
+                    "<kernel:{}:sanitized>".format(self.kernel.name),
+                    "_item",
                 )
-                self._sanitized_item_fn = namespace["_item"]
                 _count_codegen()
         return self._sanitized_item_fn
 
@@ -1960,16 +1689,9 @@ class CompiledKernel:
                     )
                     return None
                 self.batch_source = source
-                namespace = dict(_GLOBALS)
-                exec(
-                    compile(
-                        source,
-                        "<kernel:{}:batch>".format(self.kernel.name),
-                        "exec",
-                    ),
-                    namespace,
+                self._batch_fn = _exec_source(
+                    source, "<kernel:{}:batch>".format(self.kernel.name), "_batch"
                 )
-                self._batch_fn = namespace["_batch"]
                 _count_codegen()
         return self._batch_fn
 
@@ -2074,25 +1796,24 @@ class CompiledKernel:
                     )
                 scalar_args.append(scalars[param.name])
 
-        extra_span_args = {}
+        # The "device" span's args; "tier" is filled in per tier.
+        span_args = dict(
+            kernel=kernel.name,
+            tier=None,
+            global_size=global_size,
+            local_size=local_size,
+        )
         if device is not None:
-            extra_span_args["device"] = device
+            span_args["device"] = device
         if index_base:
-            extra_span_args["index_base"] = index_base
+            span_args["index_base"] = index_base
 
         resolved_tier = resolve_exec_tier(tier)
         if guard is None and index_base == 0 and resolved_tier in ("auto", "batch"):
             batch_fn = self._batch_callable()
             if batch_fn is not None:
-                with tracer.span(
-                    "device",
-                    cat="executor",
-                    kernel=kernel.name,
-                    tier="batch",
-                    global_size=global_size,
-                    local_size=local_size,
-                    **extra_span_args,
-                ):
+                span_args["tier"] = "batch"
+                with tracer.span("device", cat="executor", **span_args):
                     return self._launch_batch(
                         batch_fn,
                         trace,
@@ -2135,15 +1856,8 @@ class CompiledKernel:
                 guard, sorted_sites, buffers, local_size
             )
 
-        with tracer.span(
-            "device",
-            cat="executor",
-            kernel=kernel.name,
-            tier=trace.tier,
-            global_size=global_size,
-            local_size=local_size,
-            **extra_span_args,
-        ):
+        span_args["tier"] = trace.tier
+        with tracer.span("device", cat="executor", **span_args):
             for group in range(n_groups):
                 local_mem = [
                     np.zeros(
@@ -2182,20 +1896,14 @@ class CompiledKernel:
                         except StopIteration:
                             stopped += 1
                         except IndexError as err:
-                            raise DeviceError(
-                                "kernel '{}': out-of-bounds buffer access "
-                                "({})".format(kernel.name, err)
-                            ) from err
+                            raise self._out_of_bounds(err) from err
                     if guard is not None:
                         guard.phase_check(group, len(next_live), stopped)
                     if next_live:
                         trace.barriers += 1
                     live = next_live
 
-        for seg_id, count in enumerate(seg_counts):
-            for kind, ops in self.segments[seg_id].items():
-                trace.op_cycles[kind] += ops * count
-        trace.sites = site_traces
+        self._finish_trace(trace, seg_counts, site_traces)
         if guard is not None:
             with tracer.span(
                 "sanitizer_scan", cat="executor", kernel=kernel.name
@@ -2245,11 +1953,19 @@ class CompiledKernel:
                     *appenders,
                 )
         except IndexError as err:
-            raise DeviceError(
-                "kernel '{}': out-of-bounds buffer access ({})".format(
-                    self.kernel.name, err
-                )
-            ) from err
+            raise self._out_of_bounds(err) from err
+        return self._finish_trace(trace, seg_counts, site_traces)
+
+    def _out_of_bounds(self, err):
+        return DeviceError(
+            "kernel '{}': out-of-bounds buffer access ({})".format(
+                self.kernel.name, err
+            )
+        )
+
+    def _finish_trace(self, trace, seg_counts, site_traces):
+        """Fold the executed segment counts into op cycles and attach
+        the site traces: the same epilogue for every tier."""
         for seg_id, count in enumerate(seg_counts):
             for kind, ops in self.segments[seg_id].items():
                 trace.op_cycles[kind] += ops * int(count)
@@ -2301,14 +2017,7 @@ class CompiledKernel:
 
 
 def _np_dtype_of(spec):
-    return {
-        "bool": np.bool_,
-        "char": np.int8,
-        "int": np.int32,
-        "long": np.int64,
-        "float": np.float32,
-        "double": np.float64,
-    }[(spec.ktype.base if isinstance(spec.ktype, K.KVector) else spec.ktype).kind]
+    return getattr(np, _np_dtype(spec.ktype)[len("np."):])
 
 
 def compile_kernel(kernel):

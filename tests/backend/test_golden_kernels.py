@@ -9,6 +9,12 @@ under ``tests/golden/``. Two axes:
   local-memory-tiling apps, where the plan's shape depends on the
   device's shared-memory size and bank count.
 
+The simulator's own generated Python is pinned the same way: for the
+cases above, each app's map kernel with local-memory staging off, and
+pipeline3's three stages plus their fused kernel,
+``tests/golden/executor_sources.json`` holds SHA-256 digests of the
+per-item, sanitized and batch sources and the batch decline reason.
+
 The snapshots exist to catch *unintentional* codegen drift — a change
 that shows up here but was not meant to alter generated code is a bug.
 Intentional changes re-bless with::
@@ -16,16 +22,20 @@ Intentional changes re-bless with::
     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/backend/test_golden_kernels.py
 """
 
+import hashlib
+import json
 import os
 import pathlib
 
 import pytest
 
-from repro.apps.registry import BENCHMARKS
+from repro.apps.registry import ALL_BENCHMARKS, BENCHMARKS
 from repro.backend.opencl_gen import emit_opencl
 from repro.compiler.options import FIGURE8_CONFIGS
-from repro.compiler.pipeline import compile_filter
+from repro.compiler.pipeline import compile_filter, compile_fused_filter
+from repro.evaluation.perfbench import nolocal_config
 from repro.opencl import get_device
+from repro.opencl.executor import compile_kernel
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -49,6 +59,12 @@ CONFIG_VARIED = [
     ("mosaic", "Local"),
 ]
 
+# The executor golden adds each app's map kernel with local-memory
+# staging off (perfbench's nolocal_config(), where every map is
+# batch-eligible) and pipeline3's stages.
+NOLOCAL = "NoLocal"
+PIPELINE3_STAGES = ("scale", "smooth", "sharpen")
+
 CASES = (
     [(name, DEFAULT_DEVICE, None) for name in sorted(BENCHMARKS)]
     + [
@@ -60,25 +76,48 @@ CASES = (
 )
 
 
-def _emit(name, device_name, config_name):
-    bench = BENCHMARKS[name]
+def _map_kernel(name, device_name, config_name, method=None):
+    bench = ALL_BENCHMARKS[name]
     checked = bench.checked()
-    worker = checked.lookup_method(bench.main_class, bench.filter_method)
+    device = get_device(device_name)
+    if method == "fused":
+        members = [
+            (checked.lookup_method(bench.main_class, m), {})
+            for m in PIPELINE3_STAGES
+        ]
+        return compile_fused_filter(checked, members, device=device).plan.kernel
+    worker = checked.lookup_method(
+        bench.main_class, method or bench.filter_method
+    )
+    if config_name == NOLOCAL:
+        config = nolocal_config()
+    else:
+        config = FIGURE8_CONFIGS[config_name] if config_name else None
     compiled = compile_filter(
         checked,
         worker,
-        device=get_device(device_name),
-        config=FIGURE8_CONFIGS[config_name] if config_name else None,
+        device=device,
+        config=config,
         bound_values={p.name: 4 for p in worker.params[:-1]},
     )
-    return emit_opencl(compiled.plan.kernel, local_size_hint=128)
+    return compiled.plan.kernel
 
 
-def _snapshot_name(name, device, config):
+def _emit(name, device_name, config_name):
+    return emit_opencl(
+        _map_kernel(name, device_name, config_name), local_size_hint=128
+    )
+
+
+def _stem(name, device, config):
     stem = "{}-{}".format(name, device)
     if config:
         stem += "-" + config.lower().replace("+", "-")
-    return stem + ".cl"
+    return stem
+
+
+def _snapshot_name(name, device, config):
+    return _stem(name, device, config) + ".cl"
 
 
 @pytest.mark.parametrize("name,device,config", CASES)
@@ -99,4 +138,69 @@ def test_golden_opencl(name, device, config):
         "change is intentional, re-bless with REPRO_UPDATE_GOLDEN=1".format(
             name, device, path.name
         )
+    )
+
+
+# -- the executor's generated Python ----------------------------------------
+
+EXECUTOR_GOLDEN = GOLDEN_DIR / "executor_sources.json"
+
+# (app, device, config, filter method): None runs the app's own
+# filter, "fused" composes pipeline3's three stages into one kernel.
+EXECUTOR_CASES = (
+    [case + (None,) for case in CASES]
+    + [(name, DEFAULT_DEVICE, NOLOCAL, None) for name in sorted(BENCHMARKS)]
+    + [
+        ("pipeline3", DEFAULT_DEVICE, None, method)
+        for method in PIPELINE3_STAGES + ("fused",)
+    ]
+)
+
+
+def _executor_key(name, device, config, method):
+    stem = _stem(name, device, config)
+    return stem + "-" + method if method else stem
+
+
+def _digest(source):
+    if source is None:
+        return None
+    return hashlib.sha256(source.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", EXECUTOR_CASES, ids=[_executor_key(*c) for c in EXECUTOR_CASES]
+)
+def test_golden_executor_sources(case):
+    key = _executor_key(*case)
+    compiled = compile_kernel(_map_kernel(*case))
+    compiled._sanitized_item()
+    compiled._batch_callable()
+    got = {
+        "per_item": _digest(compiled.source),
+        "sanitized": _digest(compiled.sanitized_source),
+        "batch": _digest(compiled.batch_source),
+        "batch_reason": compiled.batch_reason,
+    }
+    golden = (
+        json.loads(EXECUTOR_GOLDEN.read_text())
+        if EXECUTOR_GOLDEN.exists()
+        else {}
+    )
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        golden[key] = got
+        EXECUTOR_GOLDEN.write_text(
+            json.dumps(golden, indent=2, sort_keys=True) + "\n"
+        )
+        return
+    assert key in golden, (
+        "missing executor golden entry {} — run with REPRO_UPDATE_GOLDEN=1 "
+        "to create it".format(key)
+    )
+    assert got == golden[key], (
+        "the executor's generated Python for {} drifted from {}: a warm "
+        "on-disk kernel store would keep serving the old code, so an "
+        "intentional change needs a DISK_ARTIFACT_VERSION bump in "
+        "repro.opencl.executor and a re-bless with "
+        "REPRO_UPDATE_GOLDEN=1".format(key, EXECUTOR_GOLDEN.name)
     )

@@ -66,7 +66,11 @@ def test_device_matches_interpreter_on_random_expressions(expr, n):
 @st.composite
 def int_expressions(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
-        return draw(st.sampled_from(["x", "3", "7", "(x & 255)", "(x >> 2)"]))
+        return draw(
+            st.sampled_from(
+                ["x", "3", "7", "(x & 255)", "(x >> 2)", "(-x)", "(~x)", "(x >>> 3)"]
+            )
+        )
     op = draw(st.sampled_from(["+", "-", "*", "^", "|", "&"]))
     left = draw(int_expressions(depth=depth + 1))
     right = draw(int_expressions(depth=depth + 1))
@@ -97,6 +101,55 @@ def test_integer_semantics_match_including_wrapping(expr, n):
     )
     out = cf(xs)
     assert np.array_equal(np.asarray(out), np.asarray(expected))
+
+
+# Integer negation, complement and unsigned shift at the edges of the
+# range: (element type, expression, x, host result). The long ``>>>``
+# declines the batch tier and runs per-item either way.
+WRAP_CASES = [
+    ("int", "-x", -(2**31), -(2**31)),
+    ("int", "(-x) / 2", -(2**31), -(2**30)),
+    ("int", "(x >>> 0) / 2", -1, 0),
+    ("long", "~x", 2**40, -(2**40) - 1),
+    ("long", "-x", -(2**63), -(2**63)),
+    ("long", "x >>> 0", -1, -1),
+]
+
+
+@pytest.mark.parametrize("tier", ["per-item", "batch"])
+@pytest.mark.parametrize(
+    "ktype,expr,x,host",
+    WRAP_CASES,
+    ids=["{} {}".format(t, e) for t, e, _, _ in WRAP_CASES],
+)
+def test_integer_unary_and_unsigned_shift_wrap_like_the_host(
+    ktype, expr, x, host, tier
+):
+    checked = check_program(
+        parse_program(
+            "class G {{"
+            " static local {t} f({t} x) {{ return {e}; }}"
+            " static local {t}[[]] m({t}[[]] xs) {{ return G.f @ xs; }}"
+            " }}".format(t=ktype, e=expr)
+        )
+    )
+    dtype = np.int32 if ktype == "int" else np.int64
+    xs = np.array([x, -1, 0, 1, 12345], dtype=dtype)
+    xs.setflags(write=False)
+    expected = Interpreter(checked).call_static("G", "m", [xs])
+    assert expected[0] == host
+    cf = compile_filter(
+        checked,
+        checked.lookup_method("G", "m"),
+        device=get_device("gtx580"),
+        local_size=8,
+        exec_tier=tier,
+    )
+    out = cf(xs)
+    assert np.array_equal(np.asarray(out), np.asarray(expected))
+    declines = ktype == "long" and ">>>" in expr
+    ran = "per-item" if tier == "per-item" or declines else "batch"
+    assert set(cf.profile.tier_launches) == {ran}
 
 
 @given(st.sampled_from(sorted(FIGURE8_CONFIGS)), st.integers(3, 40))

@@ -4,10 +4,12 @@ The batch tier (vectorized whole-NDRange execution) must be
 *bit-identical* to the per-item tier — and both must agree with the
 host interpreter — on every app. Two layers of evidence:
 
-- **End to end**: each Table 3 benchmark runs under ``per-item`` and
-  ``batch`` with the same config; checksums, total simulated time, and
-  the full stage breakdown must match exactly (timing equality means
-  the tiers produced identical instruction traces, segment counts, and
+- **End to end**: each Table 3 benchmark, and pipeline3 with its
+  stages run apart (``--fuse off``) and as one fused kernel
+  (``--fuse kernel``), runs under ``per-item`` and ``batch`` with the
+  same config; checksums, total simulated time, and the full stage
+  breakdown must match exactly (timing equality means the tiers
+  produced identical instruction traces, segment counts, and
   memory-access sites — not just identical output buffers). The
   bytecode target supplies the interpreter's checksum.
 - **Kernel level, randomized inputs**: every launch of a run is
@@ -25,7 +27,7 @@ are covered by the decline tests in
 import numpy as np
 import pytest
 
-from repro.apps.registry import BENCHMARKS
+from repro.apps.registry import ALL_BENCHMARKS, BENCHMARKS
 from repro.evaluation.harness import run_configuration
 from repro.evaluation.perfbench import capture_launches, nolocal_config
 from repro.runtime.sanitizer import values_equal
@@ -36,23 +38,23 @@ SCALE = 0.1
 MAX_ITEMS = 128
 
 
-def _run(name, tier, config):
+def _run(name, tier, config, fuse=None):
     return run_configuration(
-        BENCHMARKS[name],
+        ALL_BENCHMARKS[name],
         "gtx580",
         scale=SCALE,
         steps=1,
         config=config,
         max_sim_items=MAX_ITEMS,
         exec_tier=tier,
+        fuse=fuse,
     )
 
 
-@pytest.mark.parametrize("name", APPS)
-def test_end_to_end_tiers_and_interpreter_agree(name):
+def _assert_tiers_and_interpreter_agree(name, fuse=None):
     config = nolocal_config()
-    per_item = _run(name, "per-item", config)
-    batch = _run(name, "batch", config)
+    per_item = _run(name, "per-item", config, fuse)
+    batch = _run(name, "batch", config, fuse)
 
     assert values_equal(per_item.checksum, batch.checksum)
     # Timing equality is the strong check: identical simulated time
@@ -67,9 +69,24 @@ def test_end_to_end_tiers_and_interpreter_agree(name):
     assert batch.executor["executor.launches"].get("batch", 0) > 0
 
     host = run_configuration(
-        BENCHMARKS[name], "bytecode", scale=SCALE, steps=1
+        ALL_BENCHMARKS[name], "bytecode", scale=SCALE, steps=1
     )
     assert values_equal(per_item.checksum, host.checksum)
+    return batch
+
+
+@pytest.mark.parametrize("name", APPS)
+def test_end_to_end_tiers_and_interpreter_agree(name):
+    _assert_tiers_and_interpreter_agree(name)
+
+
+@pytest.mark.parametrize("fuse", ["off", "kernel"])
+def test_pipeline3_tiers_and_interpreter_agree(fuse):
+    # Under "kernel" the three stages run as one fused kernel, so its
+    # seam rounding runs on both tiers.
+    batch = _assert_tiers_and_interpreter_agree("pipeline3", fuse)
+    fused = 1 if fuse == "kernel" else 0
+    assert batch.fusion.get("fused_kernels", 0) == fused
 
 
 def _randomize(buffers, rng):

@@ -79,6 +79,16 @@ __kernel void oob(__global float* out, __global const float* x, int n) {
 """
 
 
+CASTS = """
+__kernel void casts(__global int* oi, __global long* ol,
+                    __global const double* x, int n) {
+    int i = get_global_id(0);
+    oi[i] = (int) x[i];
+    ol[i] = (long) x[i];
+}
+"""
+
+
 def _compile(source, name):
     return compile_kernel(compile_opencl_source(source)[name])
 
@@ -147,6 +157,32 @@ def test_batch_runs_batched_and_matches_per_item():
     assert t_batch.tier == "batch"
     assert np.array_equal(bufs_a["out"], bufs_b["out"])
     assert t_item.op_cycles == t_batch.op_cycles
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1e19, -1e19, 2.0**63, 3e9, -2.5, float("nan"), float("inf"), float("-inf")],
+)
+def test_float_to_int_casts_agree_across_tiers(value):
+    # Out-of-range and non-finite casts either wrap the same way on
+    # both tiers or fault with the same exception type.
+    ck = _compile(CASTS, "casts")
+    assert ck.batch_supported
+    x = np.array([1.5, value, -7.25, 0.0])
+    outcomes = {}
+    for tier in ("per-item", "batch"):
+        bufs = {
+            "oi": np.zeros(4, dtype=np.int32),
+            "ol": np.zeros(4, dtype=np.int64),
+            "x": x.copy(),
+        }
+        try:
+            assert ck.launch(bufs, {"n": 4}, 4, 4, tier=tier).tier == tier
+        except (ValueError, OverflowError) as err:
+            outcomes[tier] = type(err)
+        else:
+            outcomes[tier] = (bufs["oi"].tolist(), bufs["ol"].tolist())
+    assert outcomes["per-item"] == outcomes["batch"]
 
 
 # -- sanitizer guards force the instrumented path ------------------------
