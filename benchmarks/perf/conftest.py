@@ -9,12 +9,19 @@ REPRO_BENCH_SCALE sizes the workloads, and results land in
 import json
 import os
 import pathlib
+import sys
 
 from repro.ioutil import atomic_write
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "results"
+
+# The timing-model gate times analyze_site against the reference
+# aggregation kept with the tests (tests/opencl/timing_reference.py).
+REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 
 def record_result(name, payload):

@@ -550,7 +550,6 @@ def cmd_serve(args):
         queue_depth=args.queue_depth,
         tenant_max_inflight=args.tenant_max_inflight,
         tenant_sim_budget_ns=args.tenant_sim_budget_ns,
-        session_deadline_ms=args.session_deadline_ms,
         serve_dir=args.serve_dir,
         resume=args.resume,
     )

@@ -72,62 +72,74 @@ class KernelTiming:
         }
 
 
-def _event_keys(lanes, local_size, warp_width):
-    """Group events into 'simultaneous' sets.
+def _run_starts(column):
+    """Mask of the positions of a sorted, non-empty column that start a
+    run of equal values."""
+    starts = np.empty(len(column), dtype=bool)
+    starts[0] = True
+    np.not_equal(column[1:], column[:-1], out=starts[1:])
+    return starts
+
+
+def _event_ranks(lanes, local_size, warp_width):
+    """Group accesses into 'simultaneous' events: each access's dense
+    event rank, and the number of events.
 
     Events of one site are recorded in per-item execution order; the
     k-th access a lane makes at a site lines up with the k-th access of
     every other lane (lockstep SIMT execution of uniform control flow).
-    The simultaneous-event key is (group, warp, sequence#).
+    An event is one (group, warp, sequence#) triple.
     """
+    n = len(lanes)
     order = np.argsort(lanes, kind="stable")
     sorted_lanes = lanes[order]
-    # Rank within each lane: position - first index of that lane value.
-    change = np.empty(len(sorted_lanes), dtype=bool)
-    if len(sorted_lanes):
-        change[0] = True
-        change[1:] = sorted_lanes[1:] != sorted_lanes[:-1]
-    starts = np.flatnonzero(change)
-    group_sizes = np.diff(np.append(starts, len(sorted_lanes)))
-    offsets = np.repeat(starts, group_sizes)
-    seq_sorted = np.arange(len(sorted_lanes)) - offsets
-    seq = np.empty(len(lanes), dtype=np.int64)
-    seq[order] = seq_sorted
-    groups = lanes // local_size
-    warps = (lanes % local_size) // warp_width
-    # Composite key, dense enough for np.unique.
-    return (groups.astype(np.int64) << 40) | (warps.astype(np.int64) << 28) | seq
+    # Sequence number: position within the lane's run of accesses.
+    starts = np.flatnonzero(_run_starts(sorted_lanes))
+    seq = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    # In lane order each warp of each group is one run, whose events
+    # are its sequence numbers 0 .. max: number them warp after warp.
+    warps = np.flatnonzero(
+        _run_starts(sorted_lanes // local_size)
+        | _run_starts(sorted_lanes % local_size // warp_width)
+    )
+    sizes = np.maximum.reduceat(seq, warps) + 1
+    first_rank = np.repeat(np.cumsum(sizes) - sizes, np.diff(warps, append=n))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = first_rank + seq
+    return ranks, int(sizes.sum())
+
+
+def _sorted_pairs(keys, values):
+    """(key, value) pairs sorted by key, then value, and the mask of the
+    positions that start a distinct pair.
+
+    Sorts one int64 array of min-shifted pairs packed into a word when
+    the key span times the value span fits in 62 bits (checked in
+    Python ints, so no two pairs can pack alike); lexsorts otherwise.
+    """
+    kmin, vmin = int(keys.min()), int(values.min())
+    span = int(values.max()) - vmin + 1
+    if (int(keys.max()) - kmin + 1) * span <= 1 << 62:
+        packed = np.sort((keys - kmin) * span + (values - vmin))
+        k = packed // span
+        return k + kmin, packed - k * span + vmin, _run_starts(packed)
+    order = np.lexsort((values, keys))
+    k, v = keys[order], values[order]
+    return k, v, _run_starts(k) | _run_starts(v)
 
 
 def _count_distinct_pairs(keys, values):
     """Number of distinct (key, value) pairs."""
-    if len(keys) == 0:
-        return 0
-    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("v", np.int64)])
-    pairs["k"] = keys
-    pairs["v"] = values
-    return len(np.unique(pairs))
+    return int(np.count_nonzero(_sorted_pairs(keys, values)[2]))
 
 
 def _max_per_key_bucket(keys, buckets):
     """For each key, the maximum multiplicity of any bucket value;
     returns the sum over keys (serialized cycles)."""
-    if len(keys) == 0:
-        return 0
-    pairs = np.empty(len(keys), dtype=[("k", np.int64), ("b", np.int64)])
-    pairs["k"] = keys
-    pairs["b"] = buckets
-    uniq, counts = np.unique(pairs, return_counts=True)
-    # counts are multiplicities per (key, bucket); take max per key.
-    keys_only = uniq["k"]
-    order = np.argsort(keys_only, kind="stable")
-    keys_sorted = keys_only[order]
-    counts_sorted = counts[order]
-    change = np.empty(len(keys_sorted), dtype=bool)
-    change[0] = True
-    change[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    starts = np.flatnonzero(change)
-    maxima = np.maximum.reduceat(counts_sorted, starts)
+    k, _, first = _sorted_pairs(keys, buckets)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(k))
+    maxima = np.maximum.reduceat(counts, np.flatnonzero(_run_starts(k[starts])))
     return int(maxima.sum())
 
 
@@ -140,33 +152,16 @@ def _strict_coalescing_transactions(keys, byte_addr, segment_bytes, access_bytes
     stride, a scatter — issues one transaction per lane, which is the
     paper's up-to-10x global penalty on the GTX8800.
     """
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    addr_sorted = byte_addr[order]
-    change = np.empty(len(keys_sorted), dtype=bool)
-    change[0] = True
-    change[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], len(keys_sorted))
-    total = 0
-    for start, end in zip(starts, ends):
-        window = addr_sorted[start:end]
-        lanes = end - start
-        lo = int(window.min())
-        hi = int(window.max())
-        distinct = len(np.unique(window))
-        dense = distinct == lanes and (hi - lo) == (lanes - 1) * access_bytes
-        if lanes == 1 or dense:
-            total += (hi + access_bytes - 1) // segment_bytes - lo // segment_bytes + 1
-        else:
-            total += lanes
-    return total
-
-
-def _distinct_per_key_total(keys, values):
-    """Sum over keys of the number of distinct values — the serialization
-    cost of constant-memory events."""
-    return _count_distinct_pairs(keys, values)
+    k, addr, first = _sorted_pairs(keys, byte_addr)
+    starts = np.flatnonzero(_run_starts(k))
+    lanes = np.diff(starts, append=len(k))
+    lo = addr[starts]
+    hi = addr[starts + lanes - 1]
+    distinct = np.add.reduceat(first, starts, dtype=np.int64)
+    # A lone lane is dense too.
+    dense = (distinct == lanes) & (hi - lo == (lanes - 1) * access_bytes)
+    spanned = (hi + access_bytes - 1) // segment_bytes - lo // segment_bytes + 1
+    return int(np.where(dense, spanned, lanes).sum())
 
 
 def analyze_site(trace_site, device, local_size):
@@ -181,18 +176,16 @@ def analyze_site(trace_site, device, local_size):
     if len(lanes) == 0:
         return stats
     warp = max(1, device.warp_width)
-    keys = _event_keys(lanes, local_size, warp)
-    stats.events = len(np.unique(keys))
-    byte_addr = indices * (trace_site.elem_bytes * trace_site.width)
+    ranks, stats.events = _event_ranks(lanes, local_size, warp)
+    access_bytes = trace_site.elem_bytes * trace_site.width
+    byte_addr = indices * access_bytes
     if trace_site.space in (Space.GLOBAL, Space.IMAGE):
         seg_lo = byte_addr // device.transaction_bytes
-        seg_hi = (
-            byte_addr + trace_site.elem_bytes * trace_site.width - 1
-        ) // device.transaction_bytes
+        seg_hi = (byte_addr + access_bytes - 1) // device.transaction_bytes
         spans = int((seg_hi != seg_lo).sum())
         if not device.strict_coalescing or trace_site.space is Space.IMAGE:
             # Relaxed path: an event costs its distinct segments.
-            transactions = _count_distinct_pairs(keys, seg_lo)
+            transactions = _count_distinct_pairs(ranks, seg_lo)
         else:
             # Strict pre-Fermi coalescing: an event is coalesced only
             # when its lanes hit distinct, densely packed addresses
@@ -201,10 +194,7 @@ def analyze_site(trace_site, device, local_size):
             # transaction per lane (the paper's up-to-10x global
             # penalty on the GTX8800).
             transactions = _strict_coalescing_transactions(
-                keys,
-                byte_addr,
-                device.transaction_bytes,
-                trace_site.elem_bytes * trace_site.width,
+                ranks, byte_addr, device.transaction_bytes, access_bytes
             )
         stats.transactions = transactions + spans
         # Unique segments per work-group: what a group-resident cache
@@ -213,19 +203,18 @@ def analyze_site(trace_site, device, local_size):
         stats.unique_transactions = _count_distinct_pairs(groups, seg_lo) + spans
     elif trace_site.space is Space.LOCAL:
         words = byte_addr // 4
-        banks = words % device.local_memory_banks
         # Broadcast detection: an event where every lane reads the same
         # word costs one cycle; otherwise the max-per-bank multiplicity.
-        distinct_words = _distinct_per_key_total(keys, words)
-        max_bank = _max_per_key_bucket(keys, banks)
-        if distinct_words == stats.events:
+        if _count_distinct_pairs(ranks, words) == stats.events:
             # Every event touched a single word: pure broadcast.
             stats.conflict_cycles = stats.events
         else:
-            stats.conflict_cycles = max_bank
+            stats.conflict_cycles = _max_per_key_bucket(
+                ranks, words % device.local_memory_banks
+            )
     elif trace_site.space is Space.CONSTANT:
-        words = byte_addr // 4
-        stats.serial_words = _distinct_per_key_total(keys, words)
+        # Constant events serialize over their distinct words.
+        stats.serial_words = _count_distinct_pairs(ranks, byte_addr // 4)
     return stats
 
 

@@ -75,7 +75,6 @@ class ServeConfig:
     queue_depth: int = 16
     tenant_max_inflight: int = 4
     tenant_sim_budget_ns: Optional[float] = None
-    session_deadline_ms: Optional[float] = None
     # persistence
     serve_dir: Optional[str] = None
     resume: bool = False
