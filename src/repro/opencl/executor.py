@@ -74,7 +74,7 @@ def resolve_exec_tier(explicit=None):
 
 # Bump when CompiledKernel.artifact()'s shape changes: a mismatched
 # on-disk kernel artifact is treated as a cache miss, never deserialized.
-DISK_ARTIFACT_VERSION = 2
+DISK_ARTIFACT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,11 @@ class SiteTrace:
         return self.accesses * self.elem_bytes * self.width
 
     def arrays(self):
-        scalar_lanes = np.asarray(self.lanes, dtype=np.int64)
-        scalar_idx = np.asarray(self.indices, dtype=np.int64)
+        # fromiter with a known count converts a list of Python ints
+        # faster than np.asarray.
+        lanes, indices = self.lanes, self.indices
+        scalar_lanes = np.fromiter(lanes, dtype=np.int64, count=len(lanes))
+        scalar_idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
         if not self.blocks:
             return scalar_lanes, scalar_idx
         lane_parts = [b for b, _ in self.blocks]
@@ -211,6 +214,16 @@ _CASTS = {
     "float": ("_f32({})", "_vcf32({})"),
     "double": ("float({})", "_vcdbl({})"),
     "bool": ("bool({})", "_vcbool({})"),
+}
+
+# Integer division: (op, long?) -> (per-item, batch). A quotient wraps
+# to its operand width, as on the host (INT_MIN / -1 is INT_MIN); a
+# remainder always fits.
+_INT_DIV = {
+    ("/", False): ("_i32(_idiv({}, {}))", "_vi32(_vidiv({}, {}))"),
+    ("/", True): ("_i64(_idiv({}, {}))", "_vi64(_vidiv({}, {}))"),
+    ("%", False): ("_irem({}, {})", "_virem({}, {})"),
+    ("%", True): ("_irem({}, {})", "_virem({}, {})"),
 }
 
 _WORKITEM_FUNCS = {
@@ -306,10 +319,8 @@ class _Codegen:
     AND = "(({}) and ({}))"
     OR = "(({}) or ({}))"
     FDIV = "(({}) / ({}))"
-    IDIV = "_idiv({}, {})"
-    IREM = "_irem({}, {})"
     WRAP = ("_i32", "_i64")  # (int, long)
-    VEXT = "({}[{}].item())"
+    VEXT = "({}.item({}))"
     VBUILD = "np.array([{0}], dtype={1})"  # ({2}: lane count, batch only)
     PRIVATE_SHAPE = "{}"
 
@@ -445,10 +456,8 @@ class _Codegen:
         is_int = _is_int(e.ktype)
         wrap = self.WRAP[is_long]
         shift_mask = 63 if is_long else 31
-        if op == "/" and is_int:
-            return self.IDIV.format(left, right)
-        if op == "%" and is_int:
-            return self.IREM.format(left, right)
+        if op in ("/", "%") and is_int:
+            return _INT_DIV[op, is_long][self.TIER].format(left, right)
         if op == "/" and not isinstance(e.ktype, K.KVector):
             return self.FDIV.format(left, right)
         if op in ("*", "+", "-") and is_int:
@@ -496,7 +505,8 @@ class _Codegen:
         self.sites[node.site] = (space, elem_bytes, width, is_store, array)
 
     def _trace(self, site, index):
-        self.emit("_tr{}(( _gid, {} ))".format(site, index))
+        # Two bound ``list.append`` calls: no per-access tuple.
+        self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, index))
 
     def _load(self, e):
         """A buffer load, or an image read: a 4-wide load at ``coord``."""
@@ -523,7 +533,8 @@ class _Codegen:
     def _load_form(self, e, array, index):
         if isinstance(e.ktype, K.KVector):
             return _slice(array, index, e.ktype.width)
-        return "{}[{}].item()".format(array, index)
+        # ``arr.item(i)`` reads a Python scalar without a NumPy scalar.
+        return "{}.item({})".format(array, index)
 
     # -- statements ------------------------------------------------------------
 
@@ -709,7 +720,7 @@ class _Codegen:
                 for a in self.kernel.arrays
                 if a.space is K.Space.LOCAL
             ]
-            + ["_tr{}".format(site) for site in sorted(self.sites)]
+            + ["_t{}{}".format(k, site) for site in sorted(self.sites) for k in "li"]
         )
         if self.sanitize:
             params += ["_wd"] + [
@@ -1017,8 +1028,6 @@ class _BatchCodegen(_Codegen):
     AND = "_vand({}, {})"
     OR = "_vor({}, {})"
     FDIV = "_vfdiv({}, {})"
-    IDIV = "_vidiv({}, {})"
-    IREM = "_virem({}, {})"
     WRAP = ("_vi32", "_vi64")
     VEXT = "_vext({}, {})"
     VBUILD = "_vbuild([{0}], {1}, {2})"
@@ -1424,10 +1433,10 @@ def _upcast(vals):
 
 
 def _gload(buf, ix):
-    """Global/constant gather; mirrors ``buf[ix].item()`` per lane."""
+    """Global/constant gather; mirrors ``buf.item(ix)`` per lane."""
     if isinstance(ix, np.ndarray):
         return _upcast(buf[ix])
-    return buf[ix].item()
+    return buf.item(ix)
 
 
 def _gstore(buf, ix, val):
@@ -1471,7 +1480,7 @@ def _vstore(buf, ix, val, width):
 def _vext(vec, lane):
     if isinstance(vec, np.ndarray) and vec.ndim == 2:
         return _upcast(vec[:, lane])
-    return vec[lane].item()
+    return vec.item(lane)
 
 
 def _vbuild(elems, dtype, n):
@@ -1829,21 +1838,12 @@ class CompiledKernel:
         n_groups = global_size // local_size
         sorted_sites = sorted(site_traces)
 
-        # One append callable per site, shared across the launch: each
-        # receives (global_id, index) tuples.
+        # Each site's two bound appends, shared across the launch: one
+        # takes the global id, the other the element index.
         appenders = []
         for site in sorted_sites:
             tr = site_traces[site]
-            lanes, indices = tr.lanes, tr.indices
-
-            def make_append(lanes=lanes, indices=indices):
-                def append(event):
-                    lanes.append(event[0])
-                    indices.append(event[1])
-
-                return append
-
-            appenders.append(make_append())
+            appenders += [tr.lanes.append, tr.indices.append]
 
         # Guarded launches run the instrumented item code with one
         # checker per site plus the watchdog tick.

@@ -537,10 +537,9 @@ class Interpreter:
         index = self.eval(expr.index, env)
         self._bounds_check(arr, index)
         self._charge("array_load")
-        element = arr[index]
-        if isinstance(element, np.ndarray):
-            return element
-        return element.item()
+        if arr.ndim == 1:
+            return arr.item(index)
+        return arr[index]
 
     def _bounds_check(self, arr, index):
         self._charge("cmp_op")
@@ -616,12 +615,10 @@ class Interpreter:
         bound = [self.eval(a, env) for a in expr.bound_args]
         method = expr.func.resolved
         results = []
+        read = source.item if source.ndim == 1 else source.__getitem__
         for i in range(source.shape[0]):
             self._charge("array_load")
-            element = source[i]
-            if not isinstance(element, np.ndarray):
-                element = element.item()
-            results.append(self._invoke(method, None, [element] + bound))
+            results.append(self._invoke(method, None, [read(i)] + bound))
         result_type = expr.type
         base = result_type.base_elem
         out = np.array(results, dtype=rv.dtype_for(base))
@@ -647,14 +644,10 @@ class Interpreter:
                 return source.min().item()
             return source.max().item()
         method = func.resolved
-        accumulator = source[0]
-        if not isinstance(accumulator, np.ndarray):
-            accumulator = accumulator.item()
+        read = source.item if source.ndim == 1 else source.__getitem__
+        accumulator = read(0)
         for i in range(1, source.shape[0]):
-            element = source[i]
-            if not isinstance(element, np.ndarray):
-                element = element.item()
-            accumulator = self._invoke(method, None, [accumulator, element])
+            accumulator = self._invoke(method, None, [accumulator, read(i)])
         return accumulator
 
 

@@ -22,6 +22,7 @@ Intentional changes re-bless with::
     REPRO_UPDATE_GOLDEN=1 python -m pytest tests/backend/test_golden_kernels.py
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -168,14 +169,20 @@ def _digest(source):
     return hashlib.sha256(source.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _compiled(case):
+    compiled = compile_kernel(_map_kernel(*case))
+    compiled._sanitized_item()
+    compiled._batch_callable()
+    return compiled
+
+
 @pytest.mark.parametrize(
     "case", EXECUTOR_CASES, ids=[_executor_key(*c) for c in EXECUTOR_CASES]
 )
 def test_golden_executor_sources(case):
     key = _executor_key(*case)
-    compiled = compile_kernel(_map_kernel(*case))
-    compiled._sanitized_item()
-    compiled._batch_callable()
+    compiled = _compiled(case)
     got = {
         "per_item": _digest(compiled.source),
         "sanitized": _digest(compiled.sanitized_source),
@@ -204,3 +211,18 @@ def test_golden_executor_sources(case):
         "repro.opencl.executor and a re-bless with "
         "REPRO_UPDATE_GOLDEN=1".format(key, EXECUTOR_GOLDEN.name)
     )
+
+
+@pytest.mark.parametrize(
+    "case", EXECUTOR_CASES, ids=[_executor_key(*c) for c in EXECUTOR_CASES]
+)
+def test_per_item_sources_read_with_item_and_trace_with_appends(case):
+    """The per-item and sanitized sources read a scalar with one
+    ``a.item(i)`` call (no NumPy scalar from ``a[i]``) and record an
+    access with two bound appends (no per-access tuple)."""
+    compiled = _compiled(case)
+    for source in (compiled.source, compiled.sanitized_source):
+        header, body = source.split("\n", 1)
+        assert "].item()" not in body
+        assert "(_gid," not in body.replace(" ", "")
+        assert "_tr" not in header

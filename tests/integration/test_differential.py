@@ -183,3 +183,49 @@ def test_every_config_preserves_scan_semantics(config_name, n):
     )
     out = cf(data)
     assert np.allclose(out, expected, rtol=1e-4, atol=1e-5)
+
+
+# INT_MIN / -1 wraps to INT_MIN, as on the host. Each row holds (x,
+# divisor), so no pass can fold the division: (element type, result
+# type, expression, host result on the first row).
+INT_MIN_CASES = [
+    ("int", "int", "p[0] / p[1]", -(2**31)),
+    ("int", "int", "(p[0] / p[1]) > 0 ? 1 : 0", 0),
+    ("int", "int", "p[0] % p[1]", 0),
+    ("long", "long", "p[0] / p[1]", -(2**63)),
+    ("long", "int", "(p[0] / p[1]) > 0 ? 1 : 0", 0),
+    ("long", "long", "p[0] % p[1]", 0),
+]
+
+
+@pytest.mark.parametrize("tier", ["per-item", "batch"])
+@pytest.mark.parametrize(
+    "ktype,rtype,expr,host",
+    INT_MIN_CASES,
+    ids=["{} {}".format(t, e) for t, _, e, _ in INT_MIN_CASES],
+)
+def test_int_min_division_wraps_like_the_host(ktype, rtype, expr, host, tier):
+    checked = check_program(
+        parse_program(
+            "class G {{"
+            " static local {r} f({t}[[2]] p) {{ return {e}; }}"
+            " static local {r}[[]] m({t}[[][2]] ps) {{ return G.f @ ps; }}"
+            " }}".format(t=ktype, r=rtype, e=expr)
+        )
+    )
+    dtype = np.int32 if ktype == "int" else np.int64
+    low = np.iinfo(dtype).min
+    rows = np.array([[low, -1], [low, 1], [7, -2], [-7, 2], [0, -1]], dtype=dtype)
+    rows.setflags(write=False)
+    expected = Interpreter(checked).call_static("G", "m", [rows])
+    assert expected[0] == host
+    cf = compile_filter(
+        checked,
+        checked.lookup_method("G", "m"),
+        device=get_device("gtx580"),
+        local_size=8,
+        exec_tier=tier,
+    )
+    out = cf(rows)
+    assert np.array_equal(np.asarray(out), np.asarray(expected))
+    assert set(cf.profile.tier_launches) == {tier}
