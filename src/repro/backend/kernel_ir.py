@@ -209,7 +209,7 @@ class KLoad(KExpr):
     index: KExpr
     space: Space
     ktype: object
-    site: int = -1
+    site: int = field(default=-1, repr=False)
 
 
 @dataclass
@@ -220,7 +220,7 @@ class KImageLoad(KExpr):
     image: str
     coord: KExpr
     ktype: object  # KVector
-    site: int = -1
+    site: int = field(default=-1, repr=False)
 
 
 @dataclass
@@ -268,7 +268,7 @@ class KStore(KStmt):
     value: KExpr
     space: Space
     ktype: object
-    site: int = -1
+    site: int = field(default=-1, repr=False)
 
 
 @dataclass
@@ -330,13 +330,19 @@ class Kernel:
     ``arrays`` lists in-kernel array declarations (private arrays, local
     scratch). ``meta`` is a free-form dict the glue layer uses (input /
     output parameter names, element shapes, reduction info).
+
+    ``repr(kernel)`` prints the IR structurally, and the kernel cache
+    hashes it as the kernel's fingerprint. So every IR node is a
+    dataclass, and the two fields codegen does not read are left out
+    of it: ``meta``, and the access ``site`` ids that
+    :func:`assign_sites` derives from the structure.
     """
 
     name: str
     params: List[KParam]
     arrays: List[KLocalArray]
     body: List[KStmt]
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict, repr=False)
 
     def param(self, name):
         for p in self.params:

@@ -34,7 +34,7 @@ from repro.compiler.memopt import plan_memory
 from repro.compiler.options import OptimizationConfig
 from repro.errors import KernelRejected
 from repro.ir.patterns import analyze_worker
-from repro.opencl.kernel_cache import cached_compile_kernel, sanitizer_key
+from repro.opencl.kernel_cache import cached_compile_kernel
 from repro.runtime import marshal
 from repro.runtime.profiler import CommCostModel
 from repro.backend.kernel_ir import Space as _KSpace
@@ -175,19 +175,10 @@ def compile_filter(
         with tracer.span("recognize", cat="compile"):
             shape = kernel_id.recognize_filter(checked, worker)
         name = worker.qualified_name
-
-        def compile_kernel(kernel):
-            # Content-addressed: repeated compilations of an identical
-            # kernel (across stream tasks, engine runs, sweeps) reuse
-            # the compiled artifact instead of re-running codegen.
-            return cached_compile_kernel(
-                kernel,
-                options=config.describe(),
-                sanitizer=sanitizer_key(sanitizer),
-                device=device.name,
-                profile=profile,
-            )
-
+        # Kernels compile through the content-addressed cache: an
+        # identical IR (across stream tasks, engine runs, sweeps and
+        # fleet devices) reuses the compiled artifact instead of
+        # re-running codegen.
         reduce_kernel = None
         reduce_op = None
         if shape.reduce is not None:
@@ -198,7 +189,7 @@ def compile_filter(
                     reduce_op,
                     name.replace(".", "_") + "_reduce",
                 )
-            reduce_kernel = compile_kernel(reduce_ir)
+            reduce_kernel = cached_compile_kernel(reduce_ir, profile=profile)
         map_shape = shape.map or shape.reduce.inner_map
         if map_shape is None:
             # Pure reduction over the worker's input array.
@@ -240,7 +231,7 @@ def compile_filter(
             device,
             tracer,
         )
-        compiled = compile_kernel(plan.kernel)
+        compiled = cached_compile_kernel(plan.kernel, profile=profile)
 
         constant_fallback = None
         uses_constant = any(
@@ -325,13 +316,7 @@ def compile_fused_filter(
             tracer,
         )
         plan.kernel.meta["fused_tasks"] = list(spec.fused_names)
-        compiled = cached_compile_kernel(
-            plan.kernel,
-            options=config.describe(),
-            sanitizer=sanitizer_key(sanitizer),
-            device=device.name,
-            profile=profile,
-        )
+        compiled = cached_compile_kernel(plan.kernel, profile=profile)
         return CompiledFilter(
             name=name,
             worker=spec.worker,
@@ -434,11 +419,12 @@ class FleetOffloader(Offloader):
     """The engine-facing compilation service for a device *fleet*.
 
     Same interface as :class:`Offloader`, but ``compile_filter``
-    compiles the worker once per fleet device (per-device timing models
-    and ``device_key`` tagging; the kernel cache keys on the device
-    name, so shared codegen is reused where models agree) and returns a
-    :class:`repro.runtime.fleet.FleetWorker` that health-routes every
-    stream item across the devices with transparent failover.
+    lowers the worker once per fleet device (per-device timing models
+    and ``device_key`` tagging; the kernel cache keys on the IR alone,
+    so devices whose memory plans agree share one compiled kernel) and
+    returns a :class:`repro.runtime.fleet.FleetWorker` that
+    health-routes every stream item across the devices with
+    transparent failover.
 
     Args:
         devices: device short keys in registration order, e.g.

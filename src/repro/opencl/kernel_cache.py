@@ -1,26 +1,30 @@
 """Content-addressed compilation cache for kernel IR.
 
 ``compile_filter`` rebuilds kernel IR from scratch for every stream
-task and every :class:`Offloader`, so without a cache the simulator
-re-runs codegen (IR -> Python source -> ``exec``) for kernels it has
-already compiled — across stream items, engine runs, and evaluation
-sweeps. The cache keys compiled artifacts by *content*:
+task, every :class:`Offloader` and every fleet device, so without a
+cache the simulator re-runs codegen (IR -> Python source -> ``exec``)
+for kernels it has already compiled. The cache keys compiled artifacts
+by *content*:
 
-    (IR fingerprint, compiler options, sanitizer config, device)
+    (IR fingerprint, DISK_ARTIFACT_VERSION)
 
-- The **fingerprint** is a SHA-256 over a canonical serialization of
-  the kernel IR (params, in-kernel arrays, statements, types). Site
-  ids and the free-form ``meta`` dict are excluded: sites are
-  derived deterministically from the structure, and ``meta`` is
-  consumed by the host glue, not by codegen.
-- **Options** (``OptimizationConfig.describe()``) are part of the key
-  because memory-plan toggles change the IR *and* because a future
-  option may change codegen without changing the IR.
-- The **sanitizer config** is part of the key so that toggling
-  ``--sanitize`` can never reuse an artifact compiled for a different
-  instrumentation level (see ``tests/opencl/test_kernel_cache.py``).
-- The **device** name is included because memory plans are
-  device-shaped.
+- The **fingerprint** is a SHA-256 over ``repr(kernel)``, which prints
+  the IR dataclasses structurally (params, in-kernel arrays,
+  statements, types). Site ids and the free-form ``meta`` dict are
+  ``repr=False``: sites are derived deterministically from the
+  structure, and ``meta`` is consumed by the host glue, not by codegen.
+- Nothing else is in the key, because :class:`CompiledKernel` reads
+  nothing but the IR. Compiler options and the device reach codegen
+  only through the IR, since the memory plan is part of it. The
+  sanitized variant is generated from the same IR on the first guarded
+  launch, and the launch's ``LaunchGuard`` carries the sanitizer
+  config. So a fleet compiles each distinct IR once, whatever the
+  device, options or sanitizer. ``tests/opencl/test_kernel_cache_key.py``
+  derives this instead of asserting it: it compiles every app's
+  kernels under every device, option set and sanitizer, and requires
+  byte-identical artifacts wherever the fingerprints agree.
+- ``DISK_ARTIFACT_VERSION`` names the generated-source format, so a
+  store written by another version is a plain miss.
 
 The cache is bounded (LRU) and module-global: hit/miss counts are
 exposed both globally and per :class:`ExecutionProfile` via the
@@ -40,15 +44,12 @@ cache miss, never an error.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import os
 import pickle
 import threading
 from collections import OrderedDict
 
-from repro.backend import kernel_ir as K
 from repro.ioutil import atomic_write
 from repro.opencl.executor import DISK_ARTIFACT_VERSION, CompiledKernel
 from repro.runtime.tracing import NULL_TRACER
@@ -57,74 +58,19 @@ DEFAULT_CAPACITY = 128
 
 KERNEL_CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
-# Fields that do not affect the compiled artifact.
-_SKIP_FIELDS = frozenset({"site", "meta"})
-
-
-def _serialize(node, out):
-    """Append a canonical token stream for ``node`` to ``out``."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        out.append(type(node).__name__)
-        out.append("(")
-        for f in dataclasses.fields(node):
-            if f.name in _SKIP_FIELDS:
-                continue
-            out.append(f.name + "=")
-            _serialize(getattr(node, f.name), out)
-        out.append(")")
-    elif isinstance(node, enum.Enum):
-        out.append(type(node).__name__ + "." + node.name)
-    elif isinstance(node, (list, tuple)):
-        out.append("[")
-        for item in node:
-            _serialize(item, out)
-            out.append(",")
-        out.append("]")
-    elif isinstance(node, float):
-        # repr round-trips floats exactly (incl. -0.0 vs 0.0).
-        out.append("f" + repr(node))
-    elif isinstance(node, bool):
-        out.append("b" + repr(node))
-    elif isinstance(node, int):
-        out.append("i" + repr(node))
-    elif isinstance(node, str):
-        out.append("s" + repr(node))
-    elif node is None:
-        out.append("~")
-    else:
-        raise TypeError(
-            "cannot fingerprint {} in kernel IR".format(type(node).__name__)
-        )
-
 
 def kernel_fingerprint(kernel):
     """Deterministic SHA-256 hex digest of a kernel's compiled content."""
-    out = []
-    _serialize(kernel, out)
-    return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
-
-
-def sanitizer_key(sanitizer):
-    """Stable cache-key component for a SanitizerConfig (or None)."""
-    if sanitizer is None:
-        return "none"
-    return "bounds={},races={},divergence={},nan={},deadline={},validate={}".format(
-        sanitizer.bounds,
-        sanitizer.races,
-        sanitizer.divergence,
-        sanitizer.nan_poison,
-        sanitizer.deadline_ns,
-        sanitizer.validate_every,
-    )
+    return hashlib.sha256(repr(kernel).encode("utf-8")).hexdigest()
 
 
 class DiskKernelStore:
     """Content-addressed on-disk store of pickled
     :meth:`CompiledKernel.artifact` snapshots.
 
-    Filenames are the SHA-256 of the full cache key, so the same
-    directory safely holds artifacts for every (options, sanitizer,
-    device) combination. Writes go through
+    Filenames are the SHA-256 of the cache key, so one directory holds
+    one artifact per distinct kernel IR, shared by every device, option
+    set and sanitizer setting that lowers to it. Writes go through
     :func:`repro.ioutil.atomic_write`; loads treat *any* failure —
     missing file, torn pickle, version or key mismatch — as a miss and
     count it in :attr:`corrupt` when the file existed but could not be
@@ -165,7 +111,6 @@ class DiskKernelStore:
 
     def store(self, key, compiled):
         payload = {
-            "version": DISK_ARTIFACT_VERSION,
             "key": list(key),
             "artifact": compiled.artifact(),
         }
@@ -225,7 +170,7 @@ class KernelCache:
     def __len__(self):
         return len(self._entries)
 
-    def lookup(self, kernel, options="", sanitizer="", device="", store=None):
+    def lookup(self, kernel, store=None):
         """Resolve ``kernel`` to a compiled entry (thread-safe).
 
         Returns ``(entry, kind)`` where kind is ``"hit"`` (in-memory
@@ -233,7 +178,7 @@ class KernelCache:
         ``"miss"`` (codegen ran; the result is saved to ``store`` when
         one is given).
         """
-        key = (kernel_fingerprint(kernel), options, sanitizer, device)
+        key = (kernel_fingerprint(kernel), DISK_ARTIFACT_VERSION)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -256,14 +201,6 @@ class KernelCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
             return entry, kind
-
-    def get_or_compile(self, kernel, options="", sanitizer="", device=""):
-        """Legacy bool-returning lookup (no disk store): ``(entry,
-        in_memory_hit)``."""
-        entry, kind = self.lookup(
-            kernel, options=options, sanitizer=sanitizer, device=device
-        )
-        return entry, kind == "hit"
 
     def clear(self):
         self._entries.clear()
@@ -292,9 +229,7 @@ def reset_global_cache():
     return _GLOBAL_CACHE
 
 
-def cached_compile_kernel(
-    kernel, options="", sanitizer="", device="", profile=None
-):
+def cached_compile_kernel(kernel, profile=None):
     """Compile ``kernel`` through the global cache.
 
     ``profile`` (an :class:`repro.runtime.profiler.ExecutionProfile`)
@@ -305,13 +240,7 @@ def cached_compile_kernel(
     tracer = profile.tracer if profile is not None else NULL_TRACER
     store = active_disk_store()
     with tracer.span("cache_lookup", cat="compile", kernel=kernel.name) as sp:
-        compiled, kind = _GLOBAL_CACHE.lookup(
-            kernel,
-            options=options,
-            sanitizer=sanitizer,
-            device=device,
-            store=store,
-        )
+        compiled, kind = _GLOBAL_CACHE.lookup(kernel, store=store)
         sp.set(hit=kind != "miss", kind=kind)
     tracer.instant(
         "cache_hit" if kind != "miss" else "cache_miss",

@@ -9,6 +9,8 @@ payload) and recompiling — the host interpreter path is untouched and
 stays the ground truth.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,11 @@ def saxpy_filter(sanitizer=None):
 
 
 def mutate_store(cf, mutation):
-    """Rewrite the kernel's output store and recompile the device code."""
-    kernel = cf.compiled_kernel.kernel
+    """Rewrite the kernel's output store and recompile the device code.
+
+    The compiled kernel's IR belongs to a shared cache entry, so the
+    mutation edits a copy of it."""
+    kernel = copy.deepcopy(cf.compiled_kernel.kernel)
     stores = [
         s for s in K.walk_stmts(kernel.body) if isinstance(s, K.KStore)
     ]

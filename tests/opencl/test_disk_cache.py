@@ -13,6 +13,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.compiler.pipeline import compile_filter
+from repro.frontend import check_program, parse_program
+from repro.opencl import get_device
 from repro.opencl import kernel_cache as kc
 from repro.opencl.executor import (
     DISK_ARTIFACT_VERSION,
@@ -25,7 +28,9 @@ from repro.opencl.kernel_cache import (
     configure_disk_store,
     kernel_fingerprint,
 )
+from repro.runtime.profiler import ExecutionProfile
 
+from tests.conftest import SAXPY_SOURCE
 from tests.opencl.test_kernel_cache import make_kernel
 
 
@@ -36,8 +41,8 @@ def clean_store():
     kc.reset_global_cache()
 
 
-def key_for(kernel, device="gtx580"):
-    return (kernel_fingerprint(kernel), "", "none", device)
+def key_for(kernel):
+    return (kernel_fingerprint(kernel), DISK_ARTIFACT_VERSION)
 
 
 def launch_sum(compiled, n=8):
@@ -117,12 +122,39 @@ class TestDiskKernelStore:
         assert store.load(key_for(other)) is None
         assert store.corrupt == 1
 
-    def test_same_directory_separates_device_variants(self, tmp_path):
+    def test_second_device_is_served_the_first_devices_artifact(
+        self, tmp_path
+    ):
+        # A fresh process compiling for another device loads what the
+        # first device's compile stored: the device is not in the key.
+        configure_disk_store(tmp_path)
+        checked = check_program(parse_program(SAXPY_SOURCE))
+        worker = checked.lookup_method("Saxpy", "apply")
+        compile_filter(checked, worker, device=get_device("gtx580"))
+        kc.reset_global_cache()
+        before = codegen_compiles()
+        profile = ExecutionProfile()
+        compile_filter(
+            checked, worker, device=get_device("hd5970"), profile=profile
+        )
+        assert (profile.cache_disk_hits, profile.cache_misses) == (1, 0)
+        assert codegen_compiles() == before
+        assert len(os.listdir(tmp_path)) == 1
+
+    def test_another_artifact_version_is_a_plain_miss(self, tmp_path,
+                                                      monkeypatch):
+        # A store written under another generated-source format has
+        # other filenames: the lookup misses and recompiles, and
+        # nothing counts as corrupt.
         store = DiskKernelStore(tmp_path)
-        kernel = make_kernel()
-        store.store(key_for(kernel, device="gtx580"), CompiledKernel(kernel))
-        assert store.load(key_for(kernel, device="hd5970")) is None
-        assert store.load(key_for(kernel, device="gtx580")) is not None
+        monkeypatch.setattr(kc, "DISK_ARTIFACT_VERSION",
+                            DISK_ARTIFACT_VERSION + 1)
+        KernelCache().lookup(make_kernel(), store=store)
+        monkeypatch.undo()
+        _, kind = KernelCache().lookup(make_kernel(), store=store)
+        assert kind == "miss"
+        assert store.corrupt == 0
+        assert len(os.listdir(tmp_path)) == 2
 
 
 # -- KernelCache x disk store ------------------------------------------------

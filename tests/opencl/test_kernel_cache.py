@@ -1,27 +1,32 @@
 """The content-addressed kernel-compilation cache.
 
-Includes the regression test for the cache-key bug class this PR
-guards against: the key must incorporate the **sanitizer config** and
-the **compiler options** — toggling ``--sanitize`` or a memory-plan
-flag after a warm cache must *never* hand back an artifact compiled
-under the other setting. (An uninstrumented artifact reused for a
-sanitized run would silently skip every bounds/race check.)
+The key is the kernel IR's fingerprint alone (plus the artifact format
+version): compiler options, the device and the sanitizer reach codegen
+only through the IR or not at all. These tests pin the behaviours that
+sharing one artifact must keep — a guarded launch from a warm entry
+still runs the sanitized tier and still traps, an option toggle that
+changes the IR still misses, and a fleet compiles each distinct IR
+once. ``test_kernel_cache_key.py`` derives the key's completeness.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.apps.registry import BENCHMARKS
+from repro.apps.registry import ALL_BENCHMARKS
 from repro.backend import kernel_ir as K
 from repro.compiler.options import OptimizationConfig
+from repro.errors import BoundsFault
 from repro.evaluation.harness import run_configuration
 from repro.opencl.executor import codegen_compiles
 from repro.opencl.kernel_cache import (
     KernelCache,
+    global_kernel_cache,
     kernel_fingerprint,
     reset_global_cache,
-    sanitizer_key,
 )
-from repro.runtime.sanitizer import SanitizerConfig
+from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
 
 I32 = K.KScalar("int")
 
@@ -71,133 +76,112 @@ class TestFingerprint:
         assert kernel_fingerprint(plain) == kernel_fingerprint(decorated)
 
 
+def oob_kernel():
+    """``make_kernel`` with its store shifted 100 elements past the end."""
+    kernel = make_kernel("oob")
+    store = kernel.body[-1]
+    store.index = K.KBin("+", store.index, K.KConst(100, I32), I32)
+    return kernel
+
+
 class TestCacheBehavior:
     def test_second_compile_is_a_hit_without_codegen(self):
         cache = KernelCache()
-        first, hit1 = cache.get_or_compile(make_kernel())
+        first, kind1 = cache.lookup(make_kernel())
         before = codegen_compiles()
-        second, hit2 = cache.get_or_compile(make_kernel())
-        assert (hit1, hit2) == (False, True)
+        second, kind2 = cache.lookup(make_kernel())
+        assert (kind1, kind2) == ("miss", "hit")
         assert second is first
         # The acceptance check: a cache hit runs no codegen at all.
         assert codegen_compiles() == before
 
-    def test_sanitizer_config_is_part_of_the_key(self):
-        # Regression: a warm cache must not serve the uninstrumented
-        # artifact once --sanitize is toggled on (or vice versa).
+    def test_warm_entry_still_traps_an_out_of_bounds_store(self):
+        # The entry is compiled with no sanitizer in sight; a guarded
+        # launch from it builds the sanitized variant from the same IR.
         cache = KernelCache()
-        plain, _ = cache.get_or_compile(make_kernel(), sanitizer="none")
-        sanitized, hit = cache.get_or_compile(
-            make_kernel(), sanitizer=sanitizer_key(SanitizerConfig())
-        )
-        assert not hit
-        assert sanitized is not plain
-        # And back again still hits the original entry.
-        _, hit = cache.get_or_compile(make_kernel(), sanitizer="none")
-        assert hit
-
-    def test_compiler_options_are_part_of_the_key(self):
-        cache = KernelCache()
-        config = OptimizationConfig()
-        cache.get_or_compile(make_kernel(), options=config.describe())
-        from dataclasses import replace
-
-        toggled = replace(config, use_local=False)
-        _, hit = cache.get_or_compile(
-            make_kernel(), options=toggled.describe()
-        )
-        assert not hit
-        assert cache.stats()["misses"] == 2
-
-    def test_device_is_part_of_the_key(self):
-        cache = KernelCache()
-        cache.get_or_compile(make_kernel(), device="gtx580")
-        _, hit = cache.get_or_compile(make_kernel(), device="hd5970")
-        assert not hit
+        cache.lookup(oob_kernel())
+        entry, kind = cache.lookup(oob_kernel())
+        assert kind == "hit"
+        guard = LaunchGuard(SanitizerConfig(), "oob")
+        with pytest.raises(BoundsFault):
+            entry.launch({"out": np.zeros(8, dtype=np.int32)}, {}, 8, 8,
+                         guard=guard)
+        assert guard.trips == {"bounds": 1}
 
     def test_lru_eviction_is_bounded(self):
         cache = KernelCache(capacity=4)
         for i in range(10):
-            cache.get_or_compile(make_kernel(const=i))
+            cache.lookup(make_kernel(const=i))
         assert len(cache) == 4
         assert cache.stats()["evictions"] == 6
         # Most-recent entries survive; the oldest were evicted.
-        _, hit = cache.get_or_compile(make_kernel(const=9))
-        assert hit
-        _, hit = cache.get_or_compile(make_kernel(const=0))
-        assert not hit
+        _, kind = cache.lookup(make_kernel(const=9))
+        assert kind == "hit"
+        _, kind = cache.lookup(make_kernel(const=0))
+        assert kind == "miss"
 
 
-class TestSanitizerKey:
-    def test_none_and_default_differ(self):
-        assert sanitizer_key(None) != sanitizer_key(SanitizerConfig())
-
-    def test_every_flag_matters(self):
-        base = SanitizerConfig()
-        from dataclasses import replace
-
-        variants = [
-            replace(base, bounds=False),
-            replace(base, races=False),
-            replace(base, divergence=False),
-            replace(base, nan_poison=False),
-            replace(base, deadline_ns=1e9),
-            replace(base, validate_every=4),
-        ]
-        keys = {sanitizer_key(v) for v in variants}
-        keys.add(sanitizer_key(base))
-        assert len(keys) == len(variants) + 1
+def run_small(name, **fields):
+    return run_configuration(
+        ALL_BENCHMARKS[name], "gtx580", scale=0.1, steps=1,
+        max_sim_items=64, **fields
+    )
 
 
 class TestEndToEnd:
     def test_second_run_hits_the_cache(self):
         reset_global_cache()
-        bench = BENCHMARKS["jg-series-single"]
-        first = run_configuration(
-            bench, "gtx580", scale=0.1, steps=1, max_sim_items=64
-        )
+        first = run_small("jg-series-single")
         assert first.executor["cache.misses"] >= 1
         assert first.executor["cache.hits"] == 0
         before = codegen_compiles()
-        second = run_configuration(
-            bench, "gtx580", scale=0.1, steps=1, max_sim_items=64
-        )
+        second = run_small("jg-series-single")
         assert second.executor["cache.misses"] == 0
         assert second.executor["cache.hits"] >= 1
         # No codegen ran for the per-item artifact on the warm run.
         assert codegen_compiles() == before
 
-    def test_sanitize_toggle_recompiles_end_to_end(self):
-        # Regression, end-to-end flavor: warm the cache unsanitized,
-        # then run guarded — the guarded run must be a miss (its
-        # launches execute instrumented code, which is only correct if
-        # the artifact was compiled under the sanitized key).
+    def test_guarded_run_after_warm_run_hits_and_runs_sanitized(self):
+        # The artifact an unguarded run compiled serves a guarded run:
+        # the launch's guard, not the cache entry, picks the tier.
         reset_global_cache()
-        bench = BENCHMARKS["jg-series-single"]
-        run_configuration(bench, "gtx580", scale=0.1, steps=1, max_sim_items=64)
-        guarded = run_configuration(
-            bench,
-            "gtx580",
-            scale=0.1,
-            steps=1,
-            max_sim_items=64,
-            sanitizer=SanitizerConfig(),
-        )
-        assert guarded.executor["cache.misses"] >= 1
+        run_small("jg-series-single")
+        guarded = run_small("jg-series-single", sanitizer=SanitizerConfig())
+        assert guarded.executor["cache.misses"] == 0
+        assert guarded.executor["cache.hits"] >= 1
         assert guarded.executor["executor.launches"].get("sanitized", 0) > 0
 
-    def test_config_toggle_recompiles_end_to_end(self):
+    def test_option_toggle_that_changes_the_ir_misses(self):
         reset_global_cache()
-        from dataclasses import replace
+        run_small("mosaic")
+        untiled = run_small(
+            "mosaic", config=replace(OptimizationConfig(), use_local=False)
+        )
+        assert untiled.executor["cache.misses"] == 1
 
-        bench = BENCHMARKS["jg-series-single"]
-        run_configuration(bench, "gtx580", scale=0.1, steps=1, max_sim_items=64)
-        toggled = run_configuration(
-            bench,
-            "gtx580",
-            scale=0.1,
-            steps=1,
-            max_sim_items=64,
+    def test_option_toggle_that_keeps_the_ir_hits_without_codegen(self):
+        # vectorize=False lowers jg-series to the same IR, so the
+        # toggled run is served the artifact the first run compiled.
+        reset_global_cache()
+        run_small("jg-series-single")
+        before = codegen_compiles()
+        toggled = run_small(
+            "jg-series-single",
             config=replace(OptimizationConfig(), vectorize=False),
         )
-        assert toggled.executor["cache.misses"] >= 1
+        assert toggled.executor["cache.misses"] == 0
+        assert toggled.executor["cache.hits"] >= 1
+        assert codegen_compiles() == before
+
+    @pytest.mark.parametrize(
+        "name, distinct_irs",
+        [("mosaic", 2), ("parboil-cp", 2), ("pipeline3", 3),
+         ("jg-series-single", 1)],
+    )
+    def test_fleet_holds_one_entry_per_distinct_ir(self, name, distinct_irs):
+        reset_global_cache()
+        result = run_small(
+            name, devices=["gtx580", "hd5970", "gtx8800", "core-i7"]
+        )
+        assert len(global_kernel_cache()) == distinct_irs
+        assert result.executor["cache.misses"] == distinct_irs

@@ -13,7 +13,7 @@ import zlib
 
 import pytest
 
-from repro.apps.registry import BENCHMARKS
+from repro.apps.registry import ALL_BENCHMARKS, BENCHMARKS
 from repro.evaluation.harness import run_configuration
 from repro.opencl import kernel_cache as kc
 from repro.runtime.journal import (
@@ -223,6 +223,30 @@ class TestWarmRestart:
         assert "cache.misses" not in warm.metrics
         assert warm.metrics["journal.items_skipped"] == \
             warm.journal["items_skipped"]
+
+    def test_fleet_compiles_and_stores_each_kernel_ir_once(self, tmp_path):
+        # pipeline3's three kernels lower to the same IR on every device
+        # of a four-device fleet: three compiles, three stored
+        # artifacts, and a resume that loads each of them once.
+        bench = ALL_BENCHMARKS["pipeline3"]
+        small = dict(scale=0.05, steps=2, max_sim_items=MAX_ITEMS)
+        fleet = dict(small, devices=["gtx580", "hd5970", "gtx8800", "core-i7"])
+        store = tmp_path / "kernels"
+        journal = os.fspath(tmp_path / "journal")
+        kc.reset_global_cache()
+        kc.configure_disk_store(os.fspath(store))
+        cold = run_configuration(bench, journal=journal, **fleet)
+        assert cold.metrics["cache.misses"] == 3
+        assert len(list(store.glob("*.kpkl"))) == 3
+
+        kc.reset_global_cache()  # a process restart loses the LRU
+        warm = run_configuration(bench, journal=journal, resume=True, **fleet)
+        assert warm.metrics["cache.disk_hits"] == 3
+        assert "cache.misses" not in warm.metrics
+
+        kc.configure_disk_store(None)
+        solo = run_configuration(bench, "gtx580", **small)
+        assert cold.checksum == warm.checksum == solo.checksum
 
     def test_mosaic_resume_is_bit_exact(self, tmp_path):
         cold = run(journal=tmp_path, bench="mosaic")

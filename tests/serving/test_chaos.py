@@ -8,6 +8,7 @@ with a solo run, the daemon never crashes, and overload produces typed
 
 from repro.apps.registry import BENCHMARKS
 from repro.evaluation.harness import FaultFlags, RunSpec, run_configuration
+from repro.runtime.resilience import FleetPolicy
 from repro.serving.loadgen import serving_bench
 from repro.serving.server import ServeConfig, ServeDaemon
 from repro.serving.session import SessionSpec
@@ -24,17 +25,22 @@ KNOWN_CODES = {
 }
 
 
+def chaos_run(**fields):
+    return RunSpec(
+        devices=["gtx580", "hd5970"],
+        max_sim_items=MAX_ITEMS,
+        faults=FaultFlags(
+            fault_rate=0.05,
+            seed=99,
+            kill_devices={"gtx580": 1},  # dies after its first launch
+        ),
+        **fields
+    )
+
+
 def chaos_config(**kw):
     base = dict(
-        run=RunSpec(
-            devices=["gtx580", "hd5970"],
-            max_sim_items=MAX_ITEMS,
-            faults=FaultFlags(
-                fault_rate=0.05,
-                seed=99,
-                kill_devices={"gtx580": 1},  # dies after its first launch
-            ),
-        ),
+        run=chaos_run(),
         max_concurrency=4,
         queue_depth=16,
         tenant_max_inflight=16,
@@ -57,7 +63,17 @@ def workload(n, benchmarks=("jg-series-single", "mosaic")):
 
 
 def test_device_death_mid_serve_keeps_sessions_bit_exact():
-    daemon = ServeDaemon(chaos_config())
+    # Each session injects its own faults, so the kill fires only on a
+    # session's second launch on gtx580. The sequential schedule
+    # follows the health order, which keeps placing on gtx580 until the
+    # kill fires; under the concurrent schedule, EFT placement over the
+    # shared queues could give every session at most one launch there,
+    # and then nothing failed over.
+    daemon = ServeDaemon(
+        chaos_config(run=chaos_run(fleet_policy=FleetPolicy(
+            schedule="sequential"
+        )))
+    )
     specs = workload(4)
     report = daemon.serve(specs)
     assert report["counts"] == {"completed": 4}
