@@ -356,7 +356,6 @@ class CompiledFilter:
                 direction="h2d",
                 failover=True,
             )
-            self.profile.bytes_to_device += record.payload_bytes
             self.profile.metrics.inc(
                 "transfer.bytes_to_device", record.payload_bytes
             )
@@ -390,7 +389,6 @@ class CompiledFilter:
                 direction="h2d",
                 failover=True,
             )
-            self.profile.bytes_to_device += meta.payload_bytes
             self.profile.metrics.inc(
                 "transfer.bytes_to_device", meta.payload_bytes
             )
@@ -515,7 +513,6 @@ class CompiledFilter:
                 cns = self.comm.c_marshal_ns(c_stats)
                 stages.c_marshal += cns
                 sink.charge("c_marshal", cns, cat="stage", param=param_name)
-            self.profile.bytes_to_device += stats.payload_bytes
             self.profile.metrics.inc(
                 "transfer.bytes_to_device", stats.payload_bytes
             )
@@ -734,8 +731,7 @@ class CompiledFilter:
         sink.charge(
             "opencl_setup", setup_ns, cat="stage", buffers=len(buffers)
         )
-        self.profile.kernel_launches += 1
-        self.profile.record_tier(trace.tier)
+        self.profile.metrics.inc("executor.launches.{}".format(trace.tier))
         self.profile.metrics.histogram("kernel.launch_ns").observe(
             timing.kernel_ns
         )
@@ -901,8 +897,7 @@ class CompiledFilter:
         setup_ns = self.comm.setup_ns(buffers=2, launches=1)
         stages.opencl_setup += setup_ns
         sink.charge("opencl_setup", setup_ns, cat="stage", buffers=2)
-        self.profile.kernel_launches += 1
-        self.profile.record_tier(trace.tier)
+        self.profile.metrics.inc("executor.launches.{}".format(trace.tier))
         self.profile.metrics.histogram("kernel.launch_ns").observe(
             timing.kernel_ns
         )
@@ -946,7 +941,6 @@ class CompiledFilter:
         jns = self.comm.java_marshal_ns(j_stats)
         stages.java_marshal += jns
         sink.charge("java_marshal", jns, cat="stage", direction="d2h")
-        self.profile.bytes_from_device += c_stats.payload_bytes
         self.profile.metrics.inc(
             "transfer.bytes_from_device", c_stats.payload_bytes
         )

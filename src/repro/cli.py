@@ -342,7 +342,10 @@ def run_spec(args):
 def cmd_run(args):
     from repro.apps.registry import ALL_BENCHMARKS
     from repro.evaluation.harness import run_configuration
-    from repro.evaluation.report import executor_report, failure_report
+    from repro.runtime.profiler import (
+        render_executor_summary,
+        render_failure_summary,
+    )
 
     _install_run_signal_handlers()
     if args.benchmark not in ALL_BENCHMARKS:
@@ -407,10 +410,10 @@ def cmd_run(args):
     print("stages:")
     for stage, ns in result.stages.items():
         print("  {:14s}{:>16.0f} ns".format(stage, ns))
-    executor = executor_report(result.executor)
+    executor = render_executor_summary(result.executor)
     if executor:
         print(executor)
-    print(failure_report(result.faults))
+    print(render_failure_summary(result.faults))
     if result.fleet:
         print("fleet:")
         for key in sorted(result.fleet):

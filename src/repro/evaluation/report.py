@@ -128,20 +128,6 @@ FIGURE9_STAGES = [
 ]
 
 
-def failure_report(summary):
-    """Render a :class:`repro.runtime.profiler.FailureLedger` summary
-    dict (``RunResult.faults``) for the CLI.
-
-    Delegates to the canonical renderer in
-    :mod:`repro.runtime.profiler` — the ledger's own ``report()``, this
-    function, and the ``run`` command now all emit the identical
-    format, keyed by the canonical ``recovery.*`` metric names.
-    """
-    from repro.runtime.profiler import render_failure_summary
-
-    return render_failure_summary(summary)
-
-
 def figure9_chart(table, target):
     rows = [
         (name, {k: v for k, v in row.items() if not k.startswith("_")})
@@ -152,16 +138,3 @@ def figure9_chart(table, target):
         FIGURE9_STAGES,
         title="Figure 9 — execution-time breakdown on {}".format(target),
     )
-
-
-def executor_report(summary):
-    """Render an :meth:`ExecutionProfile.executor_summary` dict as one
-    text line keyed by the canonical ``executor.launches.*`` /
-    ``cache.*`` metric names. Returns '' when the run recorded nothing.
-
-    Delegates to the canonical renderer in
-    :mod:`repro.runtime.profiler`.
-    """
-    from repro.runtime.profiler import render_executor_summary
-
-    return render_executor_summary(summary)

@@ -72,9 +72,10 @@ def resolve_exec_tier(explicit=None):
     return tier
 
 
-# Bump when CompiledKernel.artifact()'s shape changes: a mismatched
-# on-disk kernel artifact is treated as a cache miss, never deserialized.
-DISK_ARTIFACT_VERSION = 3
+# Bump when CompiledKernel.artifact()'s shape or the generated sources
+# change: a mismatched on-disk kernel artifact is treated as a cache
+# miss, never deserialized.
+DISK_ARTIFACT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +225,20 @@ _INT_DIV = {
     ("/", True): ("_i64(_idiv({}, {}))", "_vi64(_vidiv({}, {}))"),
     ("%", False): ("_irem({}, {})", "_virem({}, {})"),
     ("%", True): ("_irem({}, {})", "_virem({}, {})"),
+}
+
+# Integer Math.abs: kind -> (per-item, batch). The minimum has no
+# positive counterpart and stays itself, as on the host. Per-item tests
+# the sign of a walrus temp, which costs less than wrapping abs().
+_INT_ABS = {
+    "int": (
+        "(-_ab if (_ab := {}) < 0 and _ab != -0x80000000 else _ab)",
+        "_vi32(abs({}))",
+    ),
+    "long": (
+        "(-_ab if (_ab := {}) < 0 and _ab != -0x8000000000000000 else _ab)",
+        "_vi64(abs({}))",
+    ),
 }
 
 _WORKITEM_FUNCS = {
@@ -481,6 +496,9 @@ class _Codegen:
         if e.name in _WORKITEM_FUNCS:
             return self._workitem(e.name)
         self.charge(e)
+        if e.name == "abs" and getattr(e.ktype, "kind", None) in _INT_ABS:
+            spelling = _INT_ABS[e.ktype.kind][self.TIER]
+            return spelling.format(self.expr(e.args[0]))
         if e.name in _MATH:
             return "{}({})".format(
                 _MATH[e.name][self.TIER], ", ".join(self.expr(a) for a in e.args)

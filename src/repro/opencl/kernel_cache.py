@@ -229,11 +229,19 @@ def reset_global_cache():
     return _GLOBAL_CACHE
 
 
+# Lookup kind -> the run's counter it bumps.
+_CACHE_COUNTERS = {
+    "hit": "cache.hits",
+    "disk": "cache.disk_hits",
+    "miss": "cache.misses",
+}
+
+
 def cached_compile_kernel(kernel, profile=None):
     """Compile ``kernel`` through the global cache.
 
     ``profile`` (an :class:`repro.runtime.profiler.ExecutionProfile`)
-    gets its per-run hit/miss counters bumped when provided, and its
+    gets its run's ``cache.*`` counter bumped when provided, and its
     tracer records a "cache_lookup" span (wall time covers codegen on a
     miss) plus a hit/miss instant.
     """
@@ -248,5 +256,5 @@ def cached_compile_kernel(kernel, profile=None):
         kernel=kernel.name,
     )
     if profile is not None:
-        profile.record_cache(kind)
+        profile.metrics.inc(_CACHE_COUNTERS[kind])
     return compiled

@@ -18,22 +18,24 @@ One append-only file, ``journal.wal``, of CRC-framed records::
     [u32 payload_len][u32 crc32(payload)][payload: UTF-8 JSON]
 
 little-endian, one ``fsync`` per append. The first record is a ``meta``
-frame carrying a ``run_key`` (SHA-256 over the run configuration); a
-resume against a different configuration is refused rather than
-trusted. A torn tail — a partial frame or a CRC mismatch from a crash
-mid-write — is detected on open, truncated back to the last valid
-frame via an atomic rewrite (:func:`repro.ioutil.atomic_write`), and
-the affected items are simply recomputed. Corruption is never silently
-trusted.
+frame carrying the record-format ``version`` and a ``run_key``
+(SHA-256 over the run configuration); a resume against another format
+or a different configuration is refused rather than trusted. A torn
+tail — a partial frame or a CRC mismatch from a crash mid-write — is
+detected on open, truncated back to the last valid frame via an atomic
+rewrite (:func:`repro.ioutil.atomic_write`), and the affected items are
+simply recomputed. Corruption is never silently trusted.
 
 Record types: ``meta`` (run identity), ``inflight`` (an item has
 started; carries its marshalled input so a crash mid-item can replay
 it), ``item`` (an item completed; input digest, output wire bytes +
-checksum, device placement, sim-time stage deltas, metrics/ledger
-deltas, host-interpreter cost deltas, fleet placement events,
-per-queue attempt timestamps so a resumed fleet run replays every
-command-queue cursor bit-exactly, worker state), ``aborted`` (clean
-watchdog abort), ``complete`` (run finished, with the final checksum).
+checksum, device placement, sim-time stage deltas, the metrics delta —
+which restores every count, the failure ledger and executor counters
+included, since those are views of the metrics — host-interpreter cost
+deltas, fleet placement events, per-queue attempt timestamps so a
+resumed fleet run replays every command-queue cursor bit-exactly,
+worker state), ``aborted`` (clean watchdog abort), ``complete`` (run
+finished, with the final checksum).
 
 Concurrency guard
 -----------------
@@ -70,7 +72,7 @@ import zlib
 from repro.errors import ReproError
 from repro.ioutil import atomic_write
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 JOURNAL_FILENAME = "journal.wal"
 LOCK_FILENAME = "journal.lock"
 
@@ -240,6 +242,13 @@ class RunJournal:
                 if meta.get("type") != "meta":
                     raise JournalError(
                         "journal {} has no meta frame".format(self.path)
+                    )
+                if meta.get("version") != JOURNAL_VERSION:
+                    raise JournalError(
+                        "journal {} has record format version {}, not {}; "
+                        "refusing to resume".format(
+                            self.path, meta.get("version"), JOURNAL_VERSION
+                        )
                     )
                 if meta.get("run_key") != run_key:
                     raise JournalError(
@@ -478,14 +487,6 @@ def _stage_snapshot(stages):
     return [getattr(stages, f) for f in _STAGE_FIELDS]
 
 
-def _profile_counters(profile):
-    return {
-        "kernel_launches": profile.kernel_launches,
-        "bytes_to_device": profile.bytes_to_device,
-        "bytes_from_device": profile.bytes_from_device,
-    }
-
-
 def _delta(before, after):
     """The entries of counter dict ``after`` that moved since
     ``before``, as differences."""
@@ -504,7 +505,7 @@ class JournaledWorker:
     offloaded boundary is journaled. The wrapper sits *outside* the
     :class:`~repro.runtime.resilience.ResilientWorker`, so one journal
     record captures everything an item cost — failovers, retries, host
-    fallbacks included — as metrics/ledger/stage deltas.
+    fallbacks included — as metrics and stage deltas.
     """
 
     def __init__(
@@ -557,10 +558,8 @@ class JournaledWorker:
     def _skip(self, rec, seq):
         profile = self.profile
         stages = rec.get("stages", {})
-        profile.restore(self.name, stages, rec.get("profile_delta"))
+        profile.restore(self.name, stages)
         profile.metrics.merge_delta(rec.get("metrics_delta", {}))
-        for task, delta in rec.get("ledger_delta", {}).items():
-            profile.faults.merge_task(task, delta)
         for kind, n in rec.get("cost_delta", {}).items():
             self.cost.charge(kind, n)
         if self.fleet is not None:
@@ -637,10 +636,7 @@ class JournaledWorker:
     def _execute(self, value, seq, digest, wire):
         profile = self.profile
         metrics_before = profile.metrics.snapshot()
-        ledger_before = profile.faults.snapshot_tasks()
         stages_before = _stage_snapshot(profile.stages)
-        counters_before = _profile_counters(profile)
-        tiers_before = dict(profile.tier_launches)
         cost_before = self.cost.snapshot()
         self.journal.record_inflight(self.key, seq, digest, wire)
         events = None
@@ -665,10 +661,6 @@ class JournaledWorker:
             )
             if after != before
         }
-        profile_delta = _delta(counters_before, _profile_counters(profile))
-        tier_delta = _delta(tiers_before, profile.tier_launches)
-        if tier_delta:
-            profile_delta["tier_launches"] = tier_delta
         record = {
             "key": self.key,
             "seq": seq,
@@ -678,9 +670,7 @@ class JournaledWorker:
             "device": self._placed_device(events),
             "sim_ns": sum(stages_after),
             "stages": stage_delta,
-            "profile_delta": profile_delta,
             "metrics_delta": profile.metrics.delta(metrics_before),
-            "ledger_delta": profile.faults.delta(ledger_before),
             "filters_state": {
                 fkey: {
                     "launches": filt.launches,

@@ -403,7 +403,6 @@ def settle_resident_meta(meta, profile, reason="host"):
     # profile.record, which would also log a phantom per-item invoke).
     profile.stages.add(delta)
     profile.task_stages(meta.producer).add(delta)
-    profile.bytes_from_device += meta.payload_bytes
     profile.metrics.inc(
         "transfer.bytes_from_device", meta.payload_bytes
     )

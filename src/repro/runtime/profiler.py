@@ -9,7 +9,7 @@ nanoseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runtime.cost import StageTimes
 from repro.runtime.tracing import NULL_TRACER, MetricsRegistry
@@ -92,112 +92,121 @@ class CommCostModel:
         return self.pcie_byte_ns * nbytes + self.pcie_latency_ns * transfers
 
 
-@dataclass
-class TaskFaultRecord:
-    """Per-task failure-ledger entry.
+# Per-task summary fields and the canonical counter each one reads; a
+# name ending in "." reads every counter under that prefix as a dict.
+_TASK_FIELDS = (
+    ("faults", "recovery.faults"),
+    ("retries", "recovery.retries"),
+    ("fallbacks", "recovery.fallbacks"),
+    ("demoted", "recovery.demotions"),
+    ("time_lost_ns", "recovery.time_lost_ns"),
+    ("by_stage", "recovery.faults."),
+    ("trips", "guards.trips."),
+    ("validations", "guards.validations"),
+    ("mismatches", "guards.mismatches"),
+    ("promotions", "recovery.promotions"),
+    ("failovers", "recovery.failovers"),
+    ("partitioned_launches", "recovery.partitioned_launches"),
+)
 
-    ``faults`` counts injected-or-real device faults observed;
-    ``retries`` counts device re-attempts; ``fallbacks`` counts stream
-    items completed on the host after retries were exhausted;
-    ``demoted`` is set when the circuit breaker moved the whole task to
-    its host worker; ``time_lost_ns`` is simulated time burned on failed
-    attempts plus retry backoff; ``by_stage`` splits faults by the
-    Figure 6 stage that failed.
 
-    Guarded execution adds: ``trips`` splits sanitizer violations by
-    kind (``bounds``/``race``/``divergence``/``deadline``/``nan``/
-    ``validate`` — may exceed the fault count because one race fault can
-    batch many conflicting addresses); ``validations``/``mismatches``
-    count differential-validation samples and how many disagreed with
-    the host; ``promotions`` counts half-open breaker probes that
-    returned the task from the host to the device.
+def _under(counts, prefix):
+    """The entries of ``counts`` named ``<prefix><key>``, as
+    ``{key: value}`` sorted by key."""
+    return {
+        name[len(prefix):]: value
+        for name, value in sorted(counts.items())
+        if name.startswith(prefix)
+    }
 
-    Fleet scheduling adds: ``failovers`` counts stream items replayed
-    on another fleet device after the placed device faulted (the item
-    still completed on *a* device — not a fallback); and
-    ``partitioned_launches`` counts chunk launches executed because a
-    device OOM forced the NDRange to be split.
-    """
 
-    faults: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    demoted: bool = False
-    time_lost_ns: float = 0.0
-    by_stage: dict = field(default_factory=dict)
-    trips: dict = field(default_factory=dict)
-    validations: int = 0
-    mismatches: int = 0
-    promotions: int = 0
-    failovers: int = 0
-    partitioned_launches: int = 0
+def _ledger_fields(counts):
+    """Read :data:`_TASK_FIELDS` out of ``{counter name: value}`` (one
+    task's twins, or the canonical totals)."""
+    out = {
+        field_name: _under(counts, name) if name.endswith(".")
+        else counts.get(name, 0)
+        for field_name, name in _TASK_FIELDS
+    }
+    out["demoted"] = bool(out["demoted"])
+    out["time_lost_ns"] = float(out["time_lost_ns"])
+    return out
 
 
 class FailureLedger:
-    """The run's fault accounting: per-task :class:`TaskFaultRecord`
-    entries plus aggregate views, surfaced by the CLI and the
-    evaluation report. Every ``record_*`` call also bumps the matching
-    canonical counter (``recovery.*`` / ``guards.*``) on the shared
-    :class:`~repro.runtime.tracing.MetricsRegistry`, so ledger totals
-    and metric values can never drift apart."""
+    """The run's fault accounting, kept in the shared
+    :class:`~repro.runtime.tracing.MetricsRegistry` and nowhere else.
+
+    Every ``record_*`` call bumps the canonical ``recovery.*`` /
+    ``guards.*`` counter and its per-task twin ``<name>:<task>`` (for
+    example ``recovery.faults.transfer:RPES.normalize``);
+    ``recovery.failovers.from.<device>`` is global only. :meth:`summary`
+    and :meth:`tasks` are views of those counters, so the totals and the
+    metrics cannot disagree, and a journal resume restores the ledger
+    through the metrics delta it replays anyway.
+
+    Per task: ``faults`` counts injected-or-real device faults, split by
+    the Figure 6 stage that failed (``by_stage``); ``retries`` counts
+    device re-attempts; ``fallbacks`` counts stream items completed on
+    the host after retries were exhausted; ``demoted`` is set when the
+    circuit breaker moved the whole task to its host worker;
+    ``time_lost_ns`` is simulated time burned on failed attempts plus
+    retry backoff. Guarded execution adds ``trips`` (sanitizer
+    violations by kind — ``bounds``/``race``/``divergence``/
+    ``deadline``/``nan``/``validate`` — which may exceed the fault count
+    because one race fault can batch many conflicting addresses),
+    ``validations``/``mismatches`` (differential-validation samples and
+    how many disagreed with the host) and ``promotions`` (half-open
+    breaker probes that returned the task to the device). Fleet
+    scheduling adds ``failovers`` (items replayed on another fleet
+    device after the placed device faulted: the item still completed on
+    *a* device, so it is not a fallback) and ``partitioned_launches``
+    (chunk launches run because a device OOM split the NDRange).
+    """
 
     def __init__(self, metrics=None):
-        self.tasks = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
-    def _record(self, task_name):
-        if task_name not in self.tasks:
-            self.tasks[task_name] = TaskFaultRecord()
-        return self.tasks[task_name]
+    def _inc(self, name, task_name, n=1):
+        self.metrics.inc(name, n)
+        self.metrics.inc("{}:{}".format(name, task_name), n)
 
     def record_fault(self, task_name, stage):
-        rec = self._record(task_name)
-        rec.faults += 1
-        rec.by_stage[stage] = rec.by_stage.get(stage, 0) + 1
-        self.metrics.inc("recovery.faults")
-        self.metrics.inc("recovery.faults.{}".format(stage))
+        self._inc("recovery.faults", task_name)
+        self._inc("recovery.faults.{}".format(stage), task_name)
 
     def record_retry(self, task_name):
-        self._record(task_name).retries += 1
-        self.metrics.inc("recovery.retries")
+        self._inc("recovery.retries", task_name)
 
     def record_fallback(self, task_name):
-        self._record(task_name).fallbacks += 1
-        self.metrics.inc("recovery.fallbacks")
+        self._inc("recovery.fallbacks", task_name)
 
     def record_demotion(self, task_name):
-        rec = self._record(task_name)
-        if not rec.demoted:
-            self.metrics.inc("recovery.demotions")
-        rec.demoted = True
+        """Count a task's demotion once, however often its breaker
+        opens."""
+        if not self.metrics.get("recovery.demotions:" + task_name):
+            self._inc("recovery.demotions", task_name)
 
     def record_trip(self, task_name, kind, count=1):
         """Count ``count`` sanitizer violations of ``kind`` (a
         :data:`repro.runtime.sanitizer.TRIP_KINDS` key)."""
-        rec = self._record(task_name)
-        rec.trips[kind] = rec.trips.get(kind, 0) + count
-        self.metrics.inc("guards.trips.{}".format(kind), count)
+        self._inc("guards.trips.{}".format(kind), task_name, count)
 
     def record_validation(self, task_name, ok):
-        rec = self._record(task_name)
-        rec.validations += 1
-        self.metrics.inc("guards.validations")
+        self._inc("guards.validations", task_name)
         if not ok:
-            rec.mismatches += 1
-            self.metrics.inc("guards.mismatches")
+            self._inc("guards.mismatches", task_name)
 
     def record_promotion(self, task_name):
         """A half-open breaker probe succeeded: the task moved back from
         the host to the device."""
-        self._record(task_name).promotions += 1
-        self.metrics.inc("recovery.promotions")
+        self._inc("recovery.promotions", task_name)
 
     def record_failover(self, task_name, from_device, to_device):
         """A stream item was transparently replayed on ``to_device``
         after ``from_device`` faulted — the fleet absorbed the fault
         without involving the host."""
-        self._record(task_name).failovers += 1
-        self.metrics.inc("recovery.failovers")
+        self._inc("recovery.failovers", task_name)
         self.metrics.inc(
             "recovery.failovers.from.{}".format(from_device)
         )
@@ -205,195 +214,77 @@ class FailureLedger:
     def record_partition(self, task_name, chunks):
         """A device-OOM launch completed as ``chunks`` partitioned chunk
         launches instead of failing the task."""
-        self._record(task_name).partitioned_launches += chunks
-        self.metrics.inc("recovery.partitioned_launches", chunks)
+        self._inc("recovery.partitioned_launches", task_name, chunks)
 
     def add_time_lost(self, task_name, ns):
-        self._record(task_name).time_lost_ns += ns
-        self.metrics.inc("recovery.time_lost_ns", ns)
+        self._inc("recovery.time_lost_ns", task_name, ns)
 
-    @property
-    def total_faults(self):
-        return sum(rec.faults for rec in self.tasks.values())
+    def _counts(self):
+        """``(totals, per_task)``: the canonical ledger counters, and
+        the ``<name>:<task>`` twins grouped by task."""
+        totals, per_task = {}, {}
+        for name, value in self.metrics.as_dict().items():
+            if name.startswith(("recovery.", "guards.")):
+                metric, _, task = name.partition(":")
+                counts = per_task.setdefault(task, {}) if task else totals
+                counts[metric] = value
+        return totals, per_task
 
-    @property
-    def total_retries(self):
-        return sum(rec.retries for rec in self.tasks.values())
-
-    @property
-    def total_fallbacks(self):
-        return sum(rec.fallbacks for rec in self.tasks.values())
-
-    @property
-    def demotions(self):
-        return [name for name, rec in self.tasks.items() if rec.demoted]
-
-    @property
-    def time_lost_ns(self):
-        return sum(rec.time_lost_ns for rec in self.tasks.values())
-
-    @property
-    def total_trips(self):
-        totals = {}
-        for rec in self.tasks.values():
-            for kind, count in rec.trips.items():
-                totals[kind] = totals.get(kind, 0) + count
-        return totals
-
-    @property
-    def total_validations(self):
-        return sum(rec.validations for rec in self.tasks.values())
-
-    @property
-    def total_mismatches(self):
-        return sum(rec.mismatches for rec in self.tasks.values())
-
-    @property
-    def total_promotions(self):
-        return sum(rec.promotions for rec in self.tasks.values())
-
-    @property
-    def total_failovers(self):
-        return sum(rec.failovers for rec in self.tasks.values())
-
-    @property
-    def total_partitioned_launches(self):
-        return sum(rec.partitioned_launches for rec in self.tasks.values())
-
-    def any_faults(self):
-        return self.total_faults > 0
+    def tasks(self):
+        """``{task: fields}`` for every task the ledger recorded, sorted
+        by task name: the ``per_task`` block of :meth:`summary`."""
+        return self.summary()["per_task"]
 
     def any_activity(self):
         """True when the ledger holds anything worth reporting — faults,
         sanitizer trips, validation samples, re-promotions, fleet
         failovers, or partitioned relaunches."""
-        return bool(self.tasks) and (
-            self.any_faults()
-            or self.total_trips
-            or self.total_validations
-            or self.total_promotions
-            or self.total_failovers
-            or self.total_partitioned_launches
-        )
+        totals = _ledger_fields(self._counts()[0])
+        reported = ("faults", "trips", "validations", "promotions",
+                    "failovers", "partitioned_launches")
+        return any(totals[name] for name in reported)
 
     def summary(self):
         """A plain-dict view (stable across runs with the same seed).
 
         Aggregate keys are the canonical ``recovery.*`` / ``guards.*``
-        metric names, mirroring the
-        :class:`~repro.runtime.tracing.MetricsRegistry`; the bare legacy
-        aliases (``faults``, ``retries``, ...) served their one-release
-        deprecation and are gone. ``demoted_tasks`` lists the tasks the
-        breaker moved to the host (``recovery.demotions`` is the count).
+        metric names. ``demoted_tasks`` lists the tasks the breaker
+        moved to the host, sorted (``recovery.demotions`` is the count).
         """
+        totals, per_task = self._counts()
+        fields = _ledger_fields(totals)
+        tasks = {
+            task: _ledger_fields(counts)
+            for task, counts in sorted(per_task.items())
+        }
         return {
-            "recovery.faults": self.total_faults,
-            "recovery.retries": self.total_retries,
-            "recovery.fallbacks": self.total_fallbacks,
-            "recovery.demotions": len(self.demotions),
-            "recovery.promotions": self.total_promotions,
-            "recovery.failovers": self.total_failovers,
-            "recovery.partitioned_launches": self.total_partitioned_launches,
-            "recovery.time_lost_ns": self.time_lost_ns,
-            "guards.trips": dict(sorted(self.total_trips.items())),
-            "guards.validations": self.total_validations,
-            "guards.mismatches": self.total_mismatches,
-            "demoted_tasks": list(self.demotions),
-            "per_task": {
-                name: {
-                    "faults": rec.faults,
-                    "retries": rec.retries,
-                    "fallbacks": rec.fallbacks,
-                    "demoted": rec.demoted,
-                    "time_lost_ns": rec.time_lost_ns,
-                    "by_stage": dict(sorted(rec.by_stage.items())),
-                    "trips": dict(sorted(rec.trips.items())),
-                    "validations": rec.validations,
-                    "mismatches": rec.mismatches,
-                    "promotions": rec.promotions,
-                    "failovers": rec.failovers,
-                    "partitioned_launches": rec.partitioned_launches,
-                }
-                for name, rec in sorted(self.tasks.items())
-            },
+            "recovery.faults": fields["faults"],
+            "recovery.retries": fields["retries"],
+            "recovery.fallbacks": fields["fallbacks"],
+            "recovery.demotions": totals.get("recovery.demotions", 0),
+            "recovery.promotions": fields["promotions"],
+            "recovery.failovers": fields["failovers"],
+            "recovery.partitioned_launches": fields["partitioned_launches"],
+            "recovery.time_lost_ns": fields["time_lost_ns"],
+            "guards.trips": fields["trips"],
+            "guards.validations": fields["validations"],
+            "guards.mismatches": fields["mismatches"],
+            "demoted_tasks": [
+                task for task, rec in tasks.items() if rec["demoted"]
+            ],
+            "per_task": tasks,
         }
 
     def report(self):
-        """Render the ledger as text for the CLI — one format,
-        shared with :func:`render_failure_summary` (the evaluation
-        report renders the identical text from the summary dict)."""
+        """Render the ledger as text for the CLI, in the one format of
+        :func:`render_failure_summary`."""
         return render_failure_summary(self.summary())
-
-    # -- journal support: per-item deltas and silent replay -----------------
-
-    _COUNT_FIELDS = (
-        "faults", "retries", "fallbacks", "time_lost_ns", "validations",
-        "mismatches", "promotions", "failovers", "partitioned_launches",
-    )
-
-    def snapshot_tasks(self):
-        """Opaque capture of every task record, input to :meth:`delta`."""
-        return {
-            name: {
-                "demoted": rec.demoted,
-                "by_stage": dict(rec.by_stage),
-                "trips": dict(rec.trips),
-                **{f: getattr(rec, f) for f in self._COUNT_FIELDS},
-            }
-            for name, rec in self.tasks.items()
-        }
-
-    def delta(self, before):
-        """JSON-able per-task change since ``before``
-        (a :meth:`snapshot_tasks` capture)."""
-        out = {}
-        for name, rec in sorted(self.tasks.items()):
-            prev = before.get(name, {})
-            d = {}
-            for f in self._COUNT_FIELDS:
-                diff = getattr(rec, f) - prev.get(f, 0)
-                if diff:
-                    d[f] = diff
-            if rec.demoted != prev.get("demoted", False):
-                d["demoted"] = rec.demoted
-            for dict_field in ("by_stage", "trips"):
-                pdict = prev.get(dict_field, {})
-                cur = getattr(rec, dict_field)
-                diffs = {
-                    k: v - pdict.get(k, 0)
-                    for k, v in sorted(cur.items())
-                    if v != pdict.get(k, 0)
-                }
-                if diffs:
-                    d[dict_field] = diffs
-            if d:
-                out[name] = d
-        return out
-
-    def merge_task(self, task_name, delta):
-        """Apply a journaled per-task :meth:`delta` entry *without*
-        bumping metrics — the journal restores those separately through
-        :meth:`MetricsRegistry.merge_delta`, so going through the
-        ``record_*`` API here would double-count every fault."""
-        rec = self._record(task_name)
-        for f in self._COUNT_FIELDS:
-            if f in delta:
-                setattr(rec, f, getattr(rec, f) + delta[f])
-        if "demoted" in delta:
-            rec.demoted = delta["demoted"]
-        for dict_field in ("by_stage", "trips"):
-            for k, v in delta.get(dict_field, {}).items():
-                cur = getattr(rec, dict_field)
-                cur[k] = cur.get(k, 0) + v
 
 
 def render_failure_summary(summary):
-    """The single canonical text rendering of a failure-ledger summary.
-
-    Used by ``FailureLedger.report()``, the ``run`` CLI, and
-    ``repro.evaluation.report.failure_report`` — previously three
-    near-duplicate formats. The header keys are the canonical
-    ``recovery.*`` metric leaf names.
+    """The single canonical text rendering of a failure-ledger summary,
+    used by ``FailureLedger.report()`` and the ``run`` CLI. The header
+    keys are the canonical ``recovery.*`` metric leaf names.
     """
     per_task = (summary or {}).get("per_task") or {}
     if not per_task:
@@ -484,64 +375,41 @@ def render_executor_summary(summary):
 
 class ExecutionProfile:
     """Aggregated stage times for one end-to-end run, plus per-task
-    detail, the failure ledger, the run's metrics registry, and the
-    tracer every instrumented layer reaches through ``profile.tracer``
-    (the :data:`~repro.runtime.tracing.NULL_TRACER` no-op unless the
-    run asked for a trace). All figures are simulated nanoseconds."""
+    detail, the run's metrics registry, the failure ledger and executor
+    counters read from it, and the tracer every instrumented layer
+    reaches through ``profile.tracer`` (the
+    :data:`~repro.runtime.tracing.NULL_TRACER` no-op unless the run
+    asked for a trace). All figures are simulated nanoseconds.
+
+    Counts live only in :attr:`metrics`: launches per execution tier
+    (``executor.launches.<tier>``: ``batch`` / ``per-item`` /
+    ``sanitized``), kernel-cache traffic (``cache.*``) and transfer
+    volume (``transfer.bytes_*``), bumped by the glue, the marshaller
+    and the kernel cache."""
 
     def __init__(self, tracer=None):
         self.stages = StageTimes()
         self.per_task = {}
-        self.kernel_launches = 0
-        self.bytes_to_device = 0
-        self.bytes_from_device = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = MetricsRegistry()
         self.faults = FailureLedger(metrics=self.metrics)
-        # Executor bookkeeping: launches per execution tier
-        # (batch / per-item / sanitized) and kernel-cache traffic.
-        self.tier_launches = {}
-        self.cache_hits = 0
-        self.cache_disk_hits = 0
-        self.cache_misses = 0
 
-    def record_tier(self, tier):
-        """Count one kernel launch against the tier that executed it."""
-        self.tier_launches[tier] = self.tier_launches.get(tier, 0) + 1
-        self.metrics.inc("executor.launches.{}".format(tier))
-
-    def record_cache(self, hit):
-        """Count one kernel-cache lookup. ``hit`` is either the legacy
-        bool (in-memory hit / codegen miss) or a kind string: ``"hit"``
-        (LRU), ``"disk"`` (served from the content-addressed on-disk
-        store — no codegen ran, but it was not in memory either), or
-        ``"miss"`` (codegen ran)."""
-        if hit is True:
-            kind = "hit"
-        elif hit is False:
-            kind = "miss"
-        else:
-            kind = hit
-        if kind == "hit":
-            self.cache_hits += 1
-            self.metrics.inc("cache.hits")
-        elif kind == "disk":
-            self.cache_disk_hits += 1
-            self.metrics.inc("cache.disk_hits")
-        else:
-            self.cache_misses += 1
-            self.metrics.inc("cache.misses")
+    @property
+    def kernel_launches(self):
+        """Kernel launches on every tier."""
+        return sum(self.executor_summary()["executor.launches"].values())
 
     def executor_summary(self):
         """Tier and compilation-cache counters for reports, keyed by the
-        canonical metric names (the pre-tracing ``tiers`` /
-        ``cache_hits`` / ``cache_misses`` aliases completed their
-        one-release deprecation and are gone)."""
+        canonical metric names."""
+        metrics = self.metrics
         return {
-            "executor.launches": dict(sorted(self.tier_launches.items())),
-            "cache.hits": self.cache_hits,
-            "cache.disk_hits": self.cache_disk_hits,
-            "cache.misses": self.cache_misses,
+            "executor.launches": _under(
+                metrics.as_dict(), "executor.launches."
+            ),
+            "cache.hits": metrics.get("cache.hits"),
+            "cache.disk_hits": metrics.get("cache.disk_hits"),
+            "cache.misses": metrics.get("cache.misses"),
         }
 
     def task_stages(self, task_name):
@@ -554,28 +422,15 @@ class ExecutionProfile:
         self.task_stages(task_name).add(stage_times)
         self.metrics.histogram("task.invoke_ns").observe(stage_times.total())
 
-    def restore(self, task_name, stage_dict, profile_delta=None):
-        """Journal replay: re-apply a completed item's stage times and
-        executor bookkeeping without re-observing metrics (histograms
-        and counters are restored separately via
-        :meth:`MetricsRegistry.merge_delta`)."""
+    def restore(self, task_name, stage_dict):
+        """Journal replay: re-apply a completed item's stage times
+        without re-observing metrics (counters and histograms are
+        restored separately via :meth:`MetricsRegistry.merge_delta`)."""
         st = StageTimes(
             **{k: v for k, v in stage_dict.items() if k != "total"}
         )
         self.stages.add(st)
         self.task_stages(task_name).add(st)
-        if profile_delta:
-            self.kernel_launches += profile_delta.get("kernel_launches", 0)
-            self.bytes_to_device += profile_delta.get("bytes_to_device", 0)
-            self.bytes_from_device += profile_delta.get(
-                "bytes_from_device", 0
-            )
-            for tier, count in profile_delta.get(
-                "tier_launches", {}
-            ).items():
-                self.tier_launches[tier] = (
-                    self.tier_launches.get(tier, 0) + count
-                )
 
     def record_recovery(self, task_name, ns):
         """Charge fault-recovery overhead (failed partial attempts,

@@ -40,8 +40,8 @@ def test_bytes_accounted_both_directions(saxpy_filter):
     xs.setflags(write=False)
     saxpy_filter(xs)
     profile = saxpy_filter.profile
-    assert profile.bytes_to_device == 8 * 4
-    assert profile.bytes_from_device == 8 * 4
+    assert profile.metrics.get("transfer.bytes_to_device") == 8 * 4
+    assert profile.metrics.get("transfer.bytes_from_device") == 8 * 4
 
 
 def test_result_is_frozen_value_array(saxpy_filter):

@@ -149,7 +149,7 @@ def test_integer_unary_and_unsigned_shift_wrap_like_the_host(
     assert np.array_equal(np.asarray(out), np.asarray(expected))
     declines = ktype == "long" and ">>>" in expr
     ran = "per-item" if tier == "per-item" or declines else "batch"
-    assert set(cf.profile.tier_launches) == {ran}
+    assert set(cf.profile.executor_summary()["executor.launches"]) == {ran}
 
 
 @given(st.sampled_from(sorted(FIGURE8_CONFIGS)), st.integers(3, 40))
@@ -185,16 +185,21 @@ def test_every_config_preserves_scan_semantics(config_name, n):
     assert np.allclose(out, expected, rtol=1e-4, atol=1e-5)
 
 
-# INT_MIN / -1 wraps to INT_MIN, as on the host. Each row holds (x,
-# divisor), so no pass can fold the division: (element type, result
-# type, expression, host result on the first row).
+# INT_MIN / -1 and Math.abs(INT_MIN) wrap to INT_MIN, as on the host.
+# Each row holds (x, divisor), so no pass can fold the division:
+# (element type, result type, expression, host result on the first
+# row).
 INT_MIN_CASES = [
     ("int", "int", "p[0] / p[1]", -(2**31)),
     ("int", "int", "(p[0] / p[1]) > 0 ? 1 : 0", 0),
     ("int", "int", "p[0] % p[1]", 0),
+    ("int", "int", "Math.abs(p[0])", -(2**31)),
+    ("int", "int", "Math.abs(p[0]) > 0 ? 1 : 0", 0),
     ("long", "long", "p[0] / p[1]", -(2**63)),
     ("long", "int", "(p[0] / p[1]) > 0 ? 1 : 0", 0),
     ("long", "long", "p[0] % p[1]", 0),
+    ("long", "long", "Math.abs(p[0])", -(2**63)),
+    ("long", "int", "Math.abs(p[0]) > 0 ? 1 : 0", 0),
 ]
 
 
@@ -228,4 +233,4 @@ def test_int_min_division_wraps_like_the_host(ktype, rtype, expr, host, tier):
     )
     out = cf(rows)
     assert np.array_equal(np.asarray(out), np.asarray(expected))
-    assert set(cf.profile.tier_launches) == {tier}
+    assert set(cf.profile.executor_summary()["executor.launches"]) == {tier}

@@ -124,10 +124,10 @@ def test_mutated_kernel_is_detected_and_host_result_wins(
     assert np.array_equal(out2, expected)
 
     ledger = profile.faults
-    rec = ledger.tasks["Saxpy.apply"]
-    assert rec.by_stage.get(kind, 0) >= 1
-    assert rec.trips.get(kind, 0) >= 1
-    assert ledger.demotions == ["Saxpy.apply"]
+    rec = ledger.tasks()["Saxpy.apply"]
+    assert rec["by_stage"].get(kind, 0) >= 1
+    assert rec["trips"].get(kind, 0) >= 1
+    assert ledger.summary()["demoted_tasks"] == ["Saxpy.apply"]
     assert profile.stages.recovery > 0  # lost time was accounted
 
 

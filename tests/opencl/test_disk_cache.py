@@ -137,7 +137,8 @@ class TestDiskKernelStore:
         compile_filter(
             checked, worker, device=get_device("hd5970"), profile=profile
         )
-        assert (profile.cache_disk_hits, profile.cache_misses) == (1, 0)
+        summary = profile.executor_summary()
+        assert (summary["cache.disk_hits"], summary["cache.misses"]) == (1, 0)
         assert codegen_compiles() == before
         assert len(os.listdir(tmp_path)) == 1
 

@@ -18,6 +18,7 @@ from repro.evaluation.harness import run_configuration
 from repro.opencl import kernel_cache as kc
 from repro.runtime.journal import (
     JOURNAL_FILENAME,
+    JOURNAL_VERSION,
     JournalError,
     RunJournal,
     encode_frame,
@@ -142,6 +143,21 @@ class TestRunJournal:
         j.close()
         with pytest.raises(JournalError, match="different run"):
             RunJournal.open(tmp_path, {"bench": "y"}, resume=True)
+
+    def test_resume_refuses_other_record_format_version(self, tmp_path):
+        # A version-1 WAL kept ledger and profile counts outside the
+        # metrics delta; resuming it would drop them, so the version is
+        # checked before the run key.
+        j = RunJournal.open(tmp_path, {"bench": "x"})
+        j.record_item({"key": "t#0", "seq": 0, "input_sha": "s"})
+        j.close()
+        path = tmp_path / JOURNAL_FILENAME
+        records, _, _ = scan_frames(path.read_bytes())
+        assert records[0]["version"] == JOURNAL_VERSION
+        records[0]["version"] = 1
+        path.write_bytes(b"".join(encode_frame(r) for r in records))
+        with pytest.raises(JournalError, match="format version 1"):
+            RunJournal.open(tmp_path, {"bench": "x"}, resume=True)
 
     def test_resume_without_resume_flag_truncates(self, tmp_path):
         j = RunJournal.open(tmp_path, {"bench": "x"})

