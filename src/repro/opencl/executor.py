@@ -43,9 +43,9 @@ EXEC_TIER_ENV = "REPRO_EXEC_TIER"
 EXEC_TIERS = ("auto", "batch", "per-item")
 
 # Global codegen counter: bumped every time kernel IR is actually
-# translated and exec-compiled (per-item, sanitized, or batch). The
-# compilation cache's acceptance test is that relaunching an identical
-# kernel does not move this counter.
+# translated to Python (per-item, sanitized, or batch). The compilation
+# cache's acceptance test is that relaunching an identical kernel does
+# not move this counter.
 _codegen_compiles = 0
 
 
@@ -75,7 +75,7 @@ def resolve_exec_tier(explicit=None):
 # Bump when CompiledKernel.artifact()'s shape or the generated sources
 # change: a mismatched on-disk kernel artifact is treated as a cache
 # miss, never deserialized.
-DISK_ARTIFACT_VERSION = 4
+DISK_ARTIFACT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +207,29 @@ _MATH = {
     "fmax": ("max", "_vmax"),
 }
 
-# Scalar casts: target kind -> (per-item, batch) conversion.
+# Two's-complement wrap to a kind's width: kind -> (per-item, batch).
+# Per-item range-checks a walrus temp, so an in-range value costs no
+# call and only an overflow reaches the helper. Arithmetic on char
+# wraps to int; only a cast wraps to char.
+_INT_WRAP = {
+    "int": (
+        "(_w if -0x80000000 <= (_w := {}) < 0x80000000 else _i32(_w))",
+        "_vi32({})",
+    ),
+    "long": (
+        "(_w if -0x8000000000000000 <= (_w := {}) < 0x8000000000000000"
+        " else _i64(_w))",
+        "_vi64({})",
+    ),
+    "char": ("(_w if -0x80 <= (_w := {}) < 0x80 else _i8(_w))", "_vi8({})"),
+}
+
+# Scalar casts: target kind -> (per-item, batch) conversion. An integer
+# target wraps as arithmetic does.
 _CASTS = {
-    "int": ("_i32(int({}))", "_vci32({})"),
-    "long": ("_i64(int({}))", "_vci64({})"),
-    "char": ("_i8(int({}))", "_vci8({})"),
+    "int": (_INT_WRAP["int"][0].format("int({})"), "_vci32({})"),
+    "long": (_INT_WRAP["long"][0].format("int({})"), "_vci64({})"),
+    "char": (_INT_WRAP["char"][0].format("int({})"), "_vci8({})"),
     "float": ("_f32({})", "_vcf32({})"),
     "double": ("float({})", "_vcdbl({})"),
     "bool": ("bool({})", "_vcbool({})"),
@@ -221,8 +239,14 @@ _CASTS = {
 # to its operand width, as on the host (INT_MIN / -1 is INT_MIN); a
 # remainder always fits.
 _INT_DIV = {
-    ("/", False): ("_i32(_idiv({}, {}))", "_vi32(_vidiv({}, {}))"),
-    ("/", True): ("_i64(_idiv({}, {}))", "_vi64(_vidiv({}, {}))"),
+    ("/", False): (
+        _INT_WRAP["int"][0].format("_idiv({}, {})"),
+        _INT_WRAP["int"][1].format("_vidiv({}, {})"),
+    ),
+    ("/", True): (
+        _INT_WRAP["long"][0].format("_idiv({}, {})"),
+        _INT_WRAP["long"][1].format("_vidiv({}, {})"),
+    ),
     ("%", False): ("_irem({}, {})", "_virem({}, {})"),
     ("%", True): ("_irem({}, {})", "_virem({}, {})"),
 }
@@ -334,7 +358,6 @@ class _Codegen:
     AND = "(({}) and ({}))"
     OR = "(({}) or ({}))"
     FDIV = "(({}) / ({}))"
-    WRAP = ("_i32", "_i64")  # (int, long)
     VEXT = "({}.item({}))"
     VBUILD = "np.array([{0}], dtype={1})"  # ({2}: lane count, batch only)
     PRIVATE_SHAPE = "{}"
@@ -348,6 +371,7 @@ class _Codegen:
         self.segments = []  # op-count dicts, one per straight-line segment
         self.current_segment = None
         self.sites = {}  # site -> (space, elem_bytes, width, is_store, array)
+        self.views = set()  # arrays read as scalars through a memoryview
         self.has_barrier = False
         # Loop-context stack for break/continue translation: each entry
         # is ("plain", None) for loops whose Python form matches the IR
@@ -422,8 +446,9 @@ class _Codegen:
                 return self.NOT.format(operand)
             if e.op == "~" or (e.op == "-" and _is_int(e.ktype)):
                 # Integer negation and complement wrap like _binary.
-                wrap = self.WRAP[_is_long(e.ktype)]
-                return "({}({}({})))".format(wrap, e.op, operand)
+                return "({})".format(
+                    self._wrap(e.ktype, "{}({})".format(e.op, operand))
+                )
             return "({}{})".format(e.op, operand)
         if isinstance(e, K.KBin):
             return self._binary(e)
@@ -469,28 +494,35 @@ class _Codegen:
         op = e.op
         is_long = _is_long(e.ktype)
         is_int = _is_int(e.ktype)
-        wrap = self.WRAP[is_long]
         shift_mask = 63 if is_long else 31
         if op in ("/", "%") and is_int:
             return _INT_DIV[op, is_long][self.TIER].format(left, right)
         if op == "/" and not isinstance(e.ktype, K.KVector):
             return self.FDIV.format(left, right)
         if op in ("*", "+", "-") and is_int:
-            return "{}(({}) {} ({}))".format(wrap, left, op, right)
+            return self._wrap(e.ktype, "({}) {} ({})".format(left, op, right))
         if op == "<<":
-            return "{}(({}) << (({}) & {}))".format(wrap, left, right, shift_mask)
+            return self._wrap(
+                e.ktype, "({}) << (({}) & {})".format(left, right, shift_mask)
+            )
         if op == ">>":
             return "(({}) >> (({}) & {}))".format(left, right, shift_mask)
         if op == ">>>":
             mask = "0xFFFFFFFFFFFFFFFF" if is_long else "0xFFFFFFFF"
-            return "{}((({}) & {}) >> (({}) & {}))".format(
-                wrap, left, mask, right, shift_mask
+            return self._wrap(
+                e.ktype,
+                "(({}) & {}) >> (({}) & {})".format(left, mask, right, shift_mask),
             )
         if op == "&&":
             return self.AND.format(left, right)
         if op == "||":
             return self.OR.format(left, right)
         return "(({}) {} ({}))".format(left, op, right)
+
+    def _wrap(self, ktype, value):
+        """``value`` wrapped to 64 bits for a long, else to 32."""
+        kind = "long" if _is_long(ktype) else "int"
+        return _INT_WRAP[kind][self.TIER].format(value)
 
     def _call(self, e):
         if e.name in _WORKITEM_FUNCS:
@@ -551,8 +583,10 @@ class _Codegen:
     def _load_form(self, e, array, index):
         if isinstance(e.ktype, K.KVector):
             return _slice(array, index, e.ktype.width)
-        # ``arr.item(i)`` reads a Python scalar without a NumPy scalar.
-        return "{}.item({})".format(array, index)
+        # A memoryview read gives the Python scalar ``arr.item(i)``
+        # gives, without a method call.
+        self.views.add(array)
+        return "r{}[{}]".format(array, index)
 
     # -- statements ------------------------------------------------------------
 
@@ -715,8 +749,13 @@ class _Codegen:
                         _np_dtype(arr.ktype),
                     )
                 )
+        body = len(self.lines)
         for stmt in kernel.body:
             self.stmt(stmt)
+        # The views scalar loads read, made once at item entry.
+        self.lines[body:body] = [
+            "    r{0} = memoryview({0})".format(array) for array in sorted(self.views)
+        ]
         header = self._header(
             [_bufname(p.name, p.space) for p in kernel.params if p.is_pointer]
             + [_pyname(p.name) for p in kernel.params if not p.is_pointer]
@@ -1046,7 +1085,6 @@ class _BatchCodegen(_Codegen):
     AND = "_vand({}, {})"
     OR = "_vor({}, {})"
     FDIV = "_vfdiv({}, {})"
-    WRAP = ("_vi32", "_vi64")
     VEXT = "_vext({}, {})"
     VBUILD = "_vbuild([{0}], {1}, {2})"
     PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: a column each
@@ -1257,6 +1295,10 @@ def _vi64(x):
     return _i64(x)
 
 
+def _vi8(x):
+    return ((x & 0xFF) ^ 0x80) - 0x80
+
+
 def _toint(x):
     if isinstance(x, np.ndarray):
         if x.dtype.kind != "f":
@@ -1278,7 +1320,7 @@ def _vci64(x):
 
 
 def _vci8(x):
-    return ((_toint(x) & 0xFF) ^ 0x80) - 0x80
+    return _vi8(_toint(x))
 
 
 def _vcf32(x):
@@ -1527,6 +1569,7 @@ _GLOBALS = {
     "_mat": _mat,
     "_vi32": _vi32,
     "_vi64": _vi64,
+    "_vi8": _vi8,
     "_vci32": _vci32,
     "_vci64": _vci64,
     "_vci8": _vci8,
@@ -1584,12 +1627,15 @@ class CompiledKernel:
     def __init__(self, kernel):
         K.assign_sites(kernel)
         self.kernel = kernel
+        # Codegen runs eagerly: its segments and sites are the timing
+        # model's inputs and the batch safety net's reference. The
+        # per-item function is exec'd on the first per-item launch, so
+        # a kernel that always runs batch never compiles it.
         codegen = _Codegen(kernel)
         self.source, self.segments, self.site_meta = codegen.generate()
-        self._item = _exec_source(
-            self.source, "<kernel:{}>".format(kernel.name), "_item"
-        )
         _count_codegen()
+        self._item_fn = None
+        self._item_label = "<kernel:{}>".format(kernel.name)
         # The instrumented (sanitized) variant is compiled lazily — a
         # guard-free launch never even builds it, keeping the fast path
         # byte-for-byte identical to the seed.
@@ -1628,7 +1674,8 @@ class CompiledKernel:
     def from_artifact(cls, art):
         """Rebuild a launchable kernel from :meth:`artifact` output.
 
-        The stored sources are exec'd directly — codegen never runs, so
+        The stored sources are exec'd directly (the per-item one on the
+        first per-item launch) — codegen never runs, so
         :func:`codegen_compiles` stays untouched (the warm-restart
         "zero recompiles" guarantee).
         """
@@ -1644,9 +1691,8 @@ class CompiledKernel:
         self.segments = art["segments"]
         self.site_meta = art["site_meta"]
         name = self.kernel.name
-        self._item = _exec_source(
-            self.source, "<kernel:{}:disk>".format(name), "_item"
-        )
+        self._item_fn = None
+        self._item_label = "<kernel:{}:disk>".format(name)
         self.sanitized_source = art["sanitized_source"]
         self._sanitized_item_fn = None
         if self.sanitized_source is not None:
@@ -1665,6 +1711,15 @@ class CompiledKernel:
             )
         self._lazy_lock = threading.Lock()
         return self
+
+    def _item(self):
+        if self._item_fn is None:
+            with self._lazy_lock:
+                if self._item_fn is None:
+                    self._item_fn = _exec_source(
+                        self.source, self._item_label, "_item"
+                    )
+        return self._item_fn
 
     def _sanitized_item(self):
         if self._sanitized_item_fn is None:
@@ -1865,7 +1920,6 @@ class CompiledKernel:
 
         # Guarded launches run the instrumented item code with one
         # checker per site plus the watchdog tick.
-        item_fn = self._item
         guard_args = []
         if guard is not None:
             trace.tier = "sanitized"
@@ -1873,6 +1927,8 @@ class CompiledKernel:
             guard_args = [guard.tick] + self._make_checkers(
                 guard, sorted_sites, buffers, local_size
             )
+        else:
+            item_fn = self._item()
 
         span_args["tier"] = trace.tier
         with tracer.span("device", cat="executor", **span_args):

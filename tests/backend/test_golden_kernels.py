@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -213,16 +214,28 @@ def test_golden_executor_sources(case):
     )
 
 
+# Arrays are named ``m_<name>``; ``_i8``/``_i32``/``_i64`` are the wrap
+# helpers (``\b`` keeps trace appends such as ``_ti32(`` out).
+ARRAY_ITEM = re.compile(r"\bm_\w+\.item\(")
+WRAP_CALL = re.compile(r"\b_i(8|32|64)\(")
+OVERFLOW_BRANCH = re.compile(r"else _i(8|32|64)\(_w\)")
+
+
 @pytest.mark.parametrize(
     "case", EXECUTOR_CASES, ids=[_executor_key(*c) for c in EXECUTOR_CASES]
 )
 def test_per_item_sources_read_with_item_and_trace_with_appends(case):
-    """The per-item and sanitized sources read a scalar with one
-    ``a.item(i)`` call (no NumPy scalar from ``a[i]``) and record an
-    access with two bound appends (no per-access tuple)."""
+    """The per-item and sanitized sources read a scalar from a
+    memoryview of its array (no ``.item(`` call on a buffer, LOCAL or
+    private array, no NumPy scalar from ``a[i]``), call a wrap helper
+    only in a range check's overflow branch, and record an access with
+    two bound appends (no per-access tuple). A lane extract
+    ``.item(k)`` on a vector temp stays."""
     compiled = _compiled(case)
     for source in (compiled.source, compiled.sanitized_source):
         header, body = source.split("\n", 1)
         assert "].item()" not in body
+        assert not ARRAY_ITEM.search(body)
+        assert not WRAP_CALL.search(OVERFLOW_BRANCH.sub("", body))
         assert "(_gid," not in body.replace(" ", "")
         assert "_tr" not in header

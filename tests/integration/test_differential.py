@@ -6,6 +6,8 @@ a couple of constants; the resulting Lime program is run both through
 the interpreter and through the full GPU compilation pipeline.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.compiler.pipeline import compile_filter
 from repro.frontend import check_program, parse_program
 from repro.opencl import get_device
 from repro.runtime.interp import Interpreter
+from repro.runtime.sanitizer import SanitizerConfig
 
 
 @st.composite
@@ -48,7 +51,7 @@ def build_program(expr):
 @settings(max_examples=40, deadline=None)
 def test_device_matches_interpreter_on_random_expressions(expr, n):
     checked = build_program(expr)
-    rng = np.random.RandomState(abs(hash(expr)) % 2 ** 31)
+    rng = np.random.RandomState(zlib.crc32(expr.encode()))
     xs = (rng.rand(n).astype(np.float32) * 4 - 2).astype(np.float32)
     xs.setflags(write=False)
     interp = Interpreter(checked)
@@ -77,9 +80,10 @@ def int_expressions(draw, depth=0):
     return "({} {} {})".format(left, op, right)
 
 
+@pytest.mark.parametrize("tier", ["per-item", "batch"])
 @given(int_expressions(), st.integers(1, 20))
 @settings(max_examples=40, deadline=None)
-def test_integer_semantics_match_including_wrapping(expr, n):
+def test_integer_semantics_match_including_wrapping(tier, expr, n):
     checked = check_program(
         parse_program(
             "class G {{"
@@ -88,7 +92,7 @@ def test_integer_semantics_match_including_wrapping(expr, n):
             " }}".format(expr)
         )
     )
-    rng = np.random.RandomState(abs(hash(expr)) % 2 ** 31)
+    rng = np.random.RandomState(zlib.crc32(expr.encode()))
     xs = rng.randint(-(2 ** 30), 2 ** 30, size=n).astype(np.int32)
     xs.setflags(write=False)
     interp = Interpreter(checked)
@@ -98,25 +102,45 @@ def test_integer_semantics_match_including_wrapping(expr, n):
         checked.lookup_method("G", "m"),
         device=get_device("gtx580"),
         local_size=8,
+        exec_tier=tier,
     )
     out = cf(xs)
     assert np.array_equal(np.asarray(out), np.asarray(expected))
+    assert set(cf.profile.executor_summary()["executor.launches"]) == {tier}
 
 
-# Integer negation, complement and unsigned shift at the edges of the
-# range: (element type, expression, x, host result). The long ``>>>``
-# declines the batch tier and runs per-item either way.
+# Integer arithmetic, shifts, negation, complement and casts at the
+# edges of the range: (element type, expression, x, host result). The
+# long ``>>>`` declines the batch tier and runs per-item either way.
 WRAP_CASES = [
     ("int", "-x", -(2**31), -(2**31)),
     ("int", "(-x) / 2", -(2**31), -(2**30)),
     ("int", "(x >>> 0) / 2", -1, 0),
+    ("int", "x + 1", 2**31 - 1, -(2**31)),
+    ("int", "x - 1", -(2**31), 2**31 - 1),
+    ("int", "x * -1", -(2**31), -(2**31)),
+    ("int", "1 << x", 31, -(2**31)),
+    ("int", "(int) (x + 2147483648L)", 2**31 - 1, -1),
     ("long", "~x", 2**40, -(2**40) - 1),
     ("long", "-x", -(2**63), -(2**63)),
     ("long", "x >>> 0", -1, -1),
+    ("long", "x + 1", 2**63 - 1, -(2**63)),
+    ("long", "x - 1", -(2**63), 2**63 - 1),
+    ("long", "x * -1", -(2**63), -(2**63)),
+    ("long", "1L << x", 63, -(2**63)),
+    ("long", "(int) x", 2**40 + 2**31, -(2**31)),
 ]
 
 
-@pytest.mark.parametrize("tier", ["per-item", "batch"])
+def _tier_options(tier):
+    """compile_filter keywords that run every launch on ``tier``: a
+    sanitizer config makes each launch guarded, hence sanitized."""
+    if tier == "sanitized":
+        return {"sanitizer": SanitizerConfig()}
+    return {"exec_tier": tier}
+
+
+@pytest.mark.parametrize("tier", ["per-item", "sanitized", "batch"])
 @pytest.mark.parametrize(
     "ktype,expr,x,host",
     WRAP_CASES,
@@ -143,13 +167,13 @@ def test_integer_unary_and_unsigned_shift_wrap_like_the_host(
         checked.lookup_method("G", "m"),
         device=get_device("gtx580"),
         local_size=8,
-        exec_tier=tier,
+        **_tier_options(tier),
     )
     out = cf(xs)
     assert np.array_equal(np.asarray(out), np.asarray(expected))
-    declines = ktype == "long" and ">>>" in expr
-    ran = "per-item" if tier == "per-item" or declines else "batch"
-    assert set(cf.profile.executor_summary()["executor.launches"]) == {ran}
+    if tier == "batch" and ktype == "long" and ">>>" in expr:
+        tier = "per-item"  # declines the batch tier
+    assert set(cf.profile.executor_summary()["executor.launches"]) == {tier}
 
 
 @given(st.sampled_from(sorted(FIGURE8_CONFIGS)), st.integers(3, 40))
