@@ -25,6 +25,7 @@ stage names.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import zlib
 
@@ -703,16 +704,28 @@ class CompiledFilter:
             index_base=index_base,
             device=self.device_key,
         )
+        self.last_timing = self._account_launch(
+            trace, len(buffers), stages, sink, index_base
+        )
+        return self.last_timing
+
+    def _account_launch(self, trace, n_buffers, stages, sink, index_base=0):
+        """Time a finished launch and charge it: its kernel and setup
+        stages and its launch metrics. Returns the charged timing."""
         timing = time_launch(trace, self.device)
         if self.injector is not None:
             # Straggler injection: a slow device's launches take longer
             # before any accounting happens, so the histogram, the
             # health monitor, and the hedge budget all see the
-            # degraded time.
-            timing.kernel_ns += self.injector.launch_latency_ns(
+            # degraded time. Every launch of a shape shares one timing,
+            # so the delayed one is a copy.
+            extra = self.injector.launch_latency_ns(
                 timing.kernel_ns, device=self.device_key
             )
-        self.last_timing = timing
+            if extra:
+                timing = dataclasses.replace(
+                    timing, kernel_ns=timing.kernel_ns + extra
+                )
         stages.kernel += timing.kernel_ns
         charge_args = self._device_args()
         if index_base:
@@ -721,22 +734,19 @@ class CompiledFilter:
             "kernel",
             timing.kernel_ns,
             cat="stage",
-            kernel=kernel.name,
+            kernel=trace.kernel_name,
             tier=trace.tier,
-            global_size=global_size,
+            global_size=trace.global_size,
             **charge_args,
         )
-        setup_ns = self.comm.setup_ns(buffers=len(buffers), launches=1)
+        setup_ns = self.comm.setup_ns(buffers=n_buffers, launches=1)
         stages.opencl_setup += setup_ns
-        sink.charge(
-            "opencl_setup", setup_ns, cat="stage", buffers=len(buffers)
-        )
-        self.profile.metrics.inc("executor.launches.{}".format(trace.tier))
-        self.profile.metrics.histogram("kernel.launch_ns").observe(
-            timing.kernel_ns
-        )
+        sink.charge("opencl_setup", setup_ns, cat="stage", buffers=n_buffers)
+        metrics = self.profile.metrics
+        metrics.inc("executor.launches.{}".format(trace.tier))
+        metrics.histogram("kernel.launch_ns").observe(timing.kernel_ns)
         if self.device_key is not None:
-            self.profile.metrics.histogram(
+            metrics.histogram(
                 "kernel.launch_ns.{}".format(self.device_key)
             ).observe(timing.kernel_ns)
         return timing
@@ -879,32 +889,7 @@ class CompiledFilter:
             tracer=self.profile.tracer,
             device=self.device_key,
         )
-        timing = time_launch(trace, self.device)
-        if self.injector is not None:
-            timing.kernel_ns += self.injector.launch_latency_ns(
-                timing.kernel_ns, device=self.device_key
-            )
-        stages.kernel += timing.kernel_ns
-        sink.charge(
-            "kernel",
-            timing.kernel_ns,
-            cat="stage",
-            kernel=self.reduce_kernel.kernel.name,
-            tier=trace.tier,
-            global_size=groups * local,
-            **self._device_args(),
-        )
-        setup_ns = self.comm.setup_ns(buffers=2, launches=1)
-        stages.opencl_setup += setup_ns
-        sink.charge("opencl_setup", setup_ns, cat="stage", buffers=2)
-        self.profile.metrics.inc("executor.launches.{}".format(trace.tier))
-        self.profile.metrics.histogram("kernel.launch_ns").observe(
-            timing.kernel_ns
-        )
-        if self.device_key is not None:
-            self.profile.metrics.histogram(
-                "kernel.launch_ns.{}".format(self.device_key)
-            ).observe(timing.kernel_ns)
+        self._account_launch(trace, 2, stages, sink)
         op = self.reduce_op
         if op == "+":
             result = partials.sum()

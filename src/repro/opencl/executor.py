@@ -11,7 +11,10 @@ NDRange. It produces two things:
 - a :class:`LaunchTrace`: per-straight-line-segment operation counts and
   a per-access-site memory trace (which work-item touched which address,
   in which order), from which :mod:`repro.opencl.timing` derives
-  coalescing, bank-conflict, cache, and broadcast behavior.
+  coalescing, bank-conflict, cache, and broadcast behavior. When
+  :func:`shape_fixed` proves the trace a function of the launch shape,
+  the trace carries that shape, and the timing model analyses each
+  shape once.
 
 Eligible kernels also compile to one whole-NDRange NumPy function (the
 batch tier): :class:`_BatchCodegen` subclasses the per-item codegen, so
@@ -27,12 +30,14 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import threading
 
 import numpy as np
 
 from repro.backend import kernel_ir as K
 from repro.errors import DeviceError
+from repro.opencl.timing import TimingMemo
 from repro.runtime.tracing import NULL_TRACER
 
 # Execution-tier knob: "auto" runs eligible kernels on the vectorized
@@ -163,6 +168,10 @@ class LaunchTrace:
         self.op_cycles = dict.fromkeys(_OP_KINDS, 0)
         self.sites = {}
         self.barriers = 0
+        # A shape-fixed kernel's launch carries its launch shape and the
+        # kernel's TimingMemo, which answers a shape timed before.
+        self.shape = None
+        self.memo = None
 
     @property
     def work_groups(self):
@@ -867,43 +876,47 @@ class _Ineligible(Exception):
     """The kernel cannot run on the batch tier; ``str`` is the reason."""
 
 
-def _expr_varying(e, varying):
-    """Conservative: may ``e`` evaluate differently across work-items?"""
+def _expr_varying(e, varying, lane_ids=True):
+    """Conservative: may ``e`` depend on a seed, given the ``varying``
+    variables? A memory read is always a seed. With ``lane_ids`` the
+    work-item ids are seeds too, and the question is whether ``e`` may
+    evaluate differently across work-items."""
+
+    def dep(x):
+        return _expr_varying(x, varying, lane_ids)
+
     if isinstance(e, K.KConst):
         return False
     if isinstance(e, K.KVar):
         return e.name in varying
     if isinstance(e, K.KCall):
         if e.name in _VARYING_WORKITEM:
-            return True
+            return lane_ids
         if e.name in _WORKITEM_FUNCS:
             return False
-        return any(_expr_varying(a, varying) for a in e.args)
+        return any(dep(a) for a in e.args)
     if isinstance(e, (K.KLoad, K.KImageLoad)):
         return True  # loads are varying unless proven otherwise
     if isinstance(e, K.KBin):
-        return _expr_varying(e.left, varying) or _expr_varying(
-            e.right, varying
-        )
+        return dep(e.left) or dep(e.right)
     if isinstance(e, K.KUn):
-        return _expr_varying(e.operand, varying)
+        return dep(e.operand)
     if isinstance(e, K.KCast):
-        return _expr_varying(e.expr, varying)
+        return dep(e.expr)
     if isinstance(e, K.KSelect):
-        return (
-            _expr_varying(e.cond, varying)
-            or _expr_varying(e.then, varying)
-            or _expr_varying(e.otherwise, varying)
-        )
+        return dep(e.cond) or dep(e.then) or dep(e.otherwise)
     if isinstance(e, K.KVecExtract):
-        return _expr_varying(e.vec, varying)
+        return dep(e.vec)
     if isinstance(e, K.KVecBuild):
-        return any(_expr_varying(x, varying) for x in e.elems)
+        return any(dep(x) for x in e.elems)
     return True
 
 
-def _varying_vars(kernel):
-    """Fixpoint of the set of variables that may differ across lanes."""
+def _varying_vars(kernel, lane_ids=True):
+    """Fixpoint of the set of variables that may depend on a seed: on
+    a work-item id or a memory read (lanes differ), or with
+    ``lane_ids=False`` on a memory read alone (buffer contents
+    differ)."""
     varying = set()
 
     def visit(stmts):
@@ -913,17 +926,20 @@ def _varying_vars(kernel):
                 if (
                     s.name not in varying
                     and s.init is not None
-                    and _expr_varying(s.init, varying)
+                    and _expr_varying(s.init, varying, lane_ids)
                 ):
                     varying.add(s.name)
                     changed = True
             elif isinstance(s, K.KAssign):
-                if s.name not in varying and _expr_varying(s.value, varying):
+                if s.name not in varying and _expr_varying(
+                    s.value, varying, lane_ids
+                ):
                     varying.add(s.name)
                     changed = True
             elif isinstance(s, K.KFor):
                 if s.var not in varying and any(
-                    _expr_varying(b, varying) for b in (s.lo, s.hi, s.step)
+                    _expr_varying(b, varying, lane_ids)
+                    for b in (s.lo, s.hi, s.step)
                 ):
                     varying.add(s.var)
                     changed = True
@@ -1055,6 +1071,62 @@ def batch_eligibility(kernel):
         _check_batch_stmts(kernel.body, varying, 0, {}, False)
     except _Ineligible as reason:
         return False, str(reason)
+    return True, ""
+
+
+def _has_access(*exprs):
+    return any(
+        isinstance(sub, (K.KLoad, K.KImageLoad))
+        for e in exprs
+        for sub in K.walk_exprs(e)
+    )
+
+
+def _trace_inputs(stmt):
+    """The expressions of ``stmt`` that decide what a launch records,
+    each with the reason a memory-dependent one declines."""
+    if isinstance(stmt, K.KIf):
+        yield stmt.cond, "memory-dependent branch"
+    elif isinstance(stmt, K.KWhile):
+        yield stmt.cond, "memory-dependent loop bound"
+    elif isinstance(stmt, K.KFor):
+        for bound in (stmt.lo, stmt.hi, stmt.step):
+            yield bound, "memory-dependent loop bound"
+    elif isinstance(stmt, K.KStore):
+        yield stmt.index, "memory-dependent index"
+    for e in K.walk_stmt_exprs(stmt):
+        if isinstance(e, K.KLoad):
+            yield e.index, "memory-dependent index"
+        elif isinstance(e, K.KImageLoad):
+            yield e.coord, "memory-dependent index"
+        elif isinstance(e, K.KSelect) and _has_access(e.then, e.otherwise):
+            yield e.cond, "memory-dependent lazy access"
+        elif (
+            isinstance(e, K.KBin) and e.op in ("&&", "||") and _has_access(e.right)
+        ):
+            yield e.left, "memory-dependent lazy access"
+
+
+def shape_fixed(kernel):
+    """Is every launch's trace fixed by its launch shape?
+
+    The shape is the global and local size, ``index_base`` and the
+    scalar arguments. The trace, every site's lanes and indices and
+    every segment count, is a function of the shape, whatever the
+    buffers hold, when no value read from memory decides an ``if`` or
+    ``while`` condition, a ``for`` bound, an access index or image
+    coordinate, or the condition guarding a lazily evaluated access (a
+    ``?:`` arm, the right side of ``&&``/``||``). Values read from
+    memory may still flow into other values and into stores. The
+    fixpoint is the batch tier's, seeded by memory reads alone.
+
+    Returns ``(True, "")`` or ``(False, reason)``.
+    """
+    dependent = _varying_vars(kernel, lane_ids=False)
+    for stmt in K.walk_stmts(kernel.body):
+        for e, reason in _trace_inputs(stmt):
+            if _expr_varying(e, dependent, lane_ids=False):
+                return False, reason
     return True, ""
 
 
@@ -1646,6 +1718,8 @@ class CompiledKernel:
         self.batch_supported, self.batch_reason = batch_eligibility(kernel)
         self.batch_source = None
         self._batch_fn = None
+        self.shape_fixed, self.shape_reason = shape_fixed(kernel)
+        self.timings = TimingMemo()
         # Compiled kernels are shared across concurrent serving
         # sessions via the content-addressed cache; the lazy variant
         # builds are the only mutation after __init__, so one lock
@@ -1709,6 +1783,10 @@ class CompiledKernel:
             self._batch_fn = _exec_source(
                 self.batch_source, "<kernel:{}:batch:disk>".format(name), "_batch"
             )
+        # Not in the artifact: the check is cheap, and the memo starts
+        # empty in every process.
+        self.shape_fixed, self.shape_reason = shape_fixed(self.kernel)
+        self.timings = TimingMemo()
         self._lazy_lock = threading.Lock()
         return self
 
@@ -1877,6 +1955,14 @@ class CompiledKernel:
                         "missing scalar argument '{}'".format(param.name)
                     )
                 scalar_args.append(scalars[param.name])
+        if self.shape_fixed:
+            trace.shape = (
+                global_size,
+                local_size,
+                index_base,
+                tuple(_scalar_bits(v) for v in scalar_args),
+            )
+            trace.memo = self.timings
 
         # The "device" span's args; "tier" is filled in per tier.
         span_args = dict(
@@ -2092,6 +2178,16 @@ class CompiledKernel:
 
 def _np_dtype_of(spec):
     return getattr(np, _np_dtype(spec.ktype)[len("np."):])
+
+
+def _scalar_bits(value):
+    """A scalar argument as its type and exact bits, for a launch
+    shape: ``0.0`` and ``-0.0``, or ``1`` and ``True``, differ."""
+    if isinstance(value, np.generic):
+        return type(value), value.tobytes()
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
 
 
 def compile_kernel(kernel):
