@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.backend import kernel_ir as K
 from repro.errors import DeviceError
-from repro.opencl.timing import TimingMemo
 from repro.runtime.tracing import NULL_TRACER
 
 # Execution-tier knob: "auto" runs eligible kernels on the vectorized
@@ -169,7 +168,7 @@ class LaunchTrace:
         self.sites = {}
         self.barriers = 0
         # A shape-fixed kernel's launch carries its launch shape and the
-        # kernel's TimingMemo, which answers a shape timed before.
+        # kernel's timing memo, which answers a shape timed before.
         self.shape = None
         self.memo = None
 
@@ -1090,8 +1089,9 @@ def _trace_inputs(stmt):
     elif isinstance(stmt, K.KWhile):
         yield stmt.cond, "memory-dependent loop bound"
     elif isinstance(stmt, K.KFor):
-        for bound in (stmt.lo, stmt.hi, stmt.step):
-            yield bound, "memory-dependent loop bound"
+        # The fixpoint marks the variable when a bound depends on
+        # memory and when the body assigns it a value that does.
+        yield K.KVar(stmt.var, None), "memory-dependent loop bound"
     elif isinstance(stmt, K.KStore):
         yield stmt.index, "memory-dependent index"
     for e in K.walk_stmt_exprs(stmt):
@@ -1719,7 +1719,11 @@ class CompiledKernel:
         self.batch_source = None
         self._batch_fn = None
         self.shape_fixed, self.shape_reason = shape_fixed(kernel)
-        self.timings = TimingMemo()
+        # (launch shape, DeviceModel) -> KernelTiming, filled by
+        # timing.time_launch. Sessions sharing this kernel share it:
+        # each lookup and store is one dict operation, so a race at
+        # worst analyses one shape twice.
+        self.timings = {}
         # Compiled kernels are shared across concurrent serving
         # sessions via the content-addressed cache; the lazy variant
         # builds are the only mutation after __init__, so one lock
@@ -1786,7 +1790,7 @@ class CompiledKernel:
         # Not in the artifact: the check is cheap, and the memo starts
         # empty in every process.
         self.shape_fixed, self.shape_reason = shape_fixed(self.kernel)
-        self.timings = TimingMemo()
+        self.timings = {}
         self._lazy_lock = threading.Lock()
         return self
 

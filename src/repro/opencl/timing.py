@@ -30,13 +30,11 @@ keeps the model monotone and explainable; the tests in
 A kernel whose trace is fixed by its launch shape
 (:func:`repro.opencl.executor.shape_fixed`) is timed once per shape and
 device: :func:`time_launch` answers a repeated shape from the kernel's
-:class:`TimingMemo` instead of re-analysing an identical trace.
+timing memo instead of re-analysing an identical trace.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,52 +231,20 @@ def analyze_site(trace_site, device, local_size):
 _BASE_CYCLES = {"int": 1.0, "long": 2.0, "fp": 1.0, "cmp": 1.0, "branch": 1.0}
 
 
-# Timings one kernel's memo keeps, one per (launch shape, device), least
-# recently used out first: a stream repeats a handful of shapes.
+# Timings one kernel's memo keeps, one per (launch shape, device). A
+# full memo is emptied: a guard for a long-lived process that meets ever
+# new shapes, since no repobench round fills a memo past 8 (DESIGN §5e).
 MEMO_CAPACITY = 64
-
-
-class TimingMemo:
-    """One compiled kernel's :class:`KernelTiming` per ``(launch shape,
-    DeviceModel)``, bounded to ``capacity`` entries.
-
-    It lives and dies with its :class:`CompiledKernel`: never written
-    to the on-disk kernel store, gone when the kernel cache drops the
-    kernel. Concurrent serving sessions share it through the shared
-    kernel cache; the lock keeps the map consistent, and two sessions
-    missing on one shape at once each analyse it, the second store
-    replacing an equal timing.
-    """
-
-    def __init__(self, capacity=MEMO_CAPACITY):
-        self.capacity = capacity
-        self._timings = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._timings)
-
-    def get(self, key):
-        with self._lock:
-            timing = self._timings.get(key)
-            if timing is not None:
-                self._timings.move_to_end(key)
-            return timing
-
-    def put(self, key, timing):
-        with self._lock:
-            self._timings[key] = timing
-            if len(self._timings) > self.capacity:
-                self._timings.popitem(last=False)
 
 
 def time_launch(trace, device):
     """The simulated time of one kernel launch on ``device``.
 
     A launch that carries its shape (a shape-fixed kernel's) is
-    answered from its kernel's memo when that shape was timed on
-    ``device`` before. The answer is exact: the trace is a function of
-    the shape, so analysing it again would give the same timing.
+    answered from its kernel's memo, a dict from ``(launch shape,
+    DeviceModel)`` to :class:`KernelTiming`, when that shape was timed
+    on ``device`` before. The answer is exact: the trace is a function
+    of the shape, so analysing it again would give the same timing.
     """
     memo = trace.memo
     if memo is None:
@@ -287,7 +253,9 @@ def time_launch(trace, device):
     timing = memo.get(key)
     if timing is None:
         timing = analyze_launch(trace, device)
-        memo.put(key, timing)
+        if len(memo) >= MEMO_CAPACITY:
+            memo.clear()
+        memo[key] = timing
     return timing
 
 

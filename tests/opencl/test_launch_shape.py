@@ -6,7 +6,7 @@ site's lanes and indices and every segment count, is a function of its
 launch shape (global size, local size, ``index_base`` and the scalar
 arguments). :func:`repro.opencl.timing.time_launch` then times each
 shape once per device and answers every later launch of it from the
-kernel's :class:`TimingMemo`.
+kernel's timing memo.
 
 Three groups of checks:
 
@@ -24,9 +24,7 @@ Three groups of checks:
 
 import collections
 import pathlib
-import random
-import sys
-import threading
+import pickle
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ from repro.opencl.clc import compile_opencl_source
 from repro.opencl.device import DEVICES, GTX580
 from repro.opencl.executor import CompiledKernel, shape_fixed
 from repro.opencl.kernel_cache import cached_compile_kernel, reset_global_cache
-from repro.opencl.timing import TimingMemo, analyze_launch, time_launch
+from repro.opencl.timing import analyze_launch, time_launch
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
 from tests.opencl.test_kernel_cache_key import CONFIGS, compile_app
@@ -129,6 +127,20 @@ DECLINES = {
                 acc = acc + 1.0f;
             }
             y[i] = acc;
+        }
+        """,
+        "memory-dependent loop bound",
+    ),
+    # The bounds are constants, but the per-item loop tests the variable
+    # the body assigns from memory: the trip count follows x.
+    "for variable assigned in the body": (
+        """
+        __kernel void k(__global float* y, __global const int* x) {
+            int i = get_global_id(0);
+            for (int k = 0; k < 4; k++) {
+                y[i] = 1.0f;
+                k = k + x[i];
+            }
         }
         """,
         "memory-dependent loop bound",
@@ -335,6 +347,23 @@ def test_rpes_gather_trace_follows_buffer_contents():
     )
 
 
+def test_loop_variable_assigned_from_memory_moves_the_trace():
+    """The decline is needed: the body's assignment sets the trip count."""
+    compiled = CompiledKernel(kernel(DECLINES["for variable assigned in the body"][0]))
+    first, second = (
+        compiled.launch(
+            {"y": np.zeros(8, np.float32), "x": np.full(8, step, np.int32)},
+            {},
+            8,
+            4,
+            tier="per-item",
+        )
+        for step in (0, 2)
+    )
+    assert first.shape is None
+    assert first.op_cycles != second.op_cycles
+
+
 def test_stored_values_only_kernel_ignores_buffer_contents():
     compiled = CompiledKernel(kernel(STORED_VALUES_ONLY))
     assert_trace_ignores_contents(compiled)
@@ -452,51 +481,22 @@ def test_declined_kernel_is_analysed_every_launch(fresh_analyses):
     assert len(compiled.timings) == 0
 
 
-def test_memo_is_bounded_least_recently_used_first():
-    memo = TimingMemo(capacity=2)
-    memo.put("a", 1)
-    memo.put("b", 2)
-    assert memo.get("a") == 1
-    memo.put("c", 3)
-    assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
-    assert len(memo) == 2
+def test_full_memo_is_emptied(fresh_analyses, monkeypatch):
+    monkeypatch.setattr(timing, "MEMO_CAPACITY", 2)
+    compiled = CompiledKernel(kernel(AXPB))
+    x = np.ones(16, dtype=np.float32)
 
+    def timed(b):
+        y = np.zeros(16, dtype=np.float32)
+        trace = compiled.launch({"y": y, "x": x}, {"a": 2.0, "b": b}, 16, 8)
+        time_launch(trace, GTX580)
+        return len(compiled.timings)
 
-def test_memo_shared_by_threads_stays_consistent_and_bounded():
-    """Serving sessions share a compiled kernel, so its memo: threads
-    hammering one small memo over more keys than it holds must read
-    back what was stored and never overfill it. Without the lock, a
-    key evicted between a lookup and its move to the end raises."""
-    memo = TimingMemo(capacity=3)
-    errors = []
-
-    def worker(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(20000):
-                key = rng.randrange(6)
-                got = memo.get(key)
-                if got is None:
-                    memo.put(key, key)
-                elif got != key:
-                    errors.append("read {} for {}".format(got, key))
-                if len(memo) > 3:
-                    errors.append("over capacity")
-        except Exception as err:  # a race surfaces as any error
-            errors.append(repr(err))
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    assert [timed(b) for b in (1, 2, 3)] == [1, 2, 1]
+    assert len(fresh_analyses) == 3
+    # The third shape stays; the first two went with the full memo.
+    assert [timed(b) for b in (3, 1)] == [1, 2]
+    assert len(fresh_analyses) == 4
 
 
 def test_memo_lives_and_dies_with_its_compiled_kernel():
@@ -508,7 +508,7 @@ def test_memo_lives_and_dies_with_its_compiled_kernel():
     assert len(compiled.timings) == 1
     # Not part of the on-disk artifact: a restored kernel starts cold.
     art = compiled.artifact()
-    assert all(not isinstance(v, TimingMemo) for v in art.values())
+    assert b"KernelTiming" not in pickle.dumps(art)
     assert len(CompiledKernel.from_artifact(art).timings) == 0
     # Nor does it survive the kernel cache.
     reset_global_cache()
