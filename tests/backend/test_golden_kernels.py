@@ -174,7 +174,6 @@ def _digest(source):
 def _compiled(case):
     compiled = compile_kernel(_map_kernel(*case))
     compiled._sanitized_item()
-    compiled._batch_callable()
     return compiled
 
 

@@ -23,6 +23,7 @@ from repro.opencl import get_device
 from repro.runtime.engine import Engine
 from repro.runtime.profiler import ExecutionProfile
 from repro.runtime.taskgraph import Task, TaskGraph
+from tests.opencl.test_batch_executor import DECLINES
 
 SOURCE = """
 class P {
@@ -260,26 +261,20 @@ def test_resident_legal_seam(planner, checked):
     assert planner._resident_reason(prod, cons) is None
 
 
-def test_kernel_barrier_decline(planner, checked):
+@pytest.mark.parametrize("reason", sorted({p.values[0] for p in DECLINES}))
+def test_kernel_decline_maps_every_batch_reason(planner, checked, reason):
+    # Fusion reads the typed reason, not its wording: only the
+    # work-group-structure reasons are a barrier decline.
     good = ctx(planner, method(checked, "scale"), _StubFilter())
-    tiled = ctx(
+    declined = ctx(
         planner,
         method(checked, "damp"),
-        _StubFilter(
-            compiled=_StubKernel(False, "uses local-memory tiling")
-        ),
+        _StubFilter(compiled=_StubKernel(False, reason)),
     )
-    assert planner._kernel_reason(good, tiled) == "barrier"
-
-
-def test_kernel_divergence_decline(planner, checked):
-    good = ctx(planner, method(checked, "scale"), _StubFilter())
-    divergent = ctx(
-        planner,
-        method(checked, "damp"),
-        _StubFilter(compiled=_StubKernel(False, "divergent branch")),
+    group = reason in ("local-memory tiling", "barrier synchronization")
+    assert planner._kernel_reason(good, declined) == (
+        "barrier" if group else "divergence"
     )
-    assert planner._kernel_reason(good, divergent) == "divergence"
 
 
 def test_kernel_reduce_decline(planner, checked):

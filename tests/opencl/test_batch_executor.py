@@ -22,7 +22,6 @@ from repro.errors import BoundsFault, DeviceError
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.executor import (
     EXEC_TIER_ENV,
-    batch_eligibility,
     compile_kernel,
     resolve_exec_tier,
 )
@@ -112,24 +111,243 @@ def test_eligible_kernel_is_batch_supported():
     assert ck._batch_callable() is not None
 
 
-@pytest.mark.parametrize(
-    "source,name,reason_contains",
-    [
-        (BARRIER_TILED, "tiled", "local-memory tiling"),
-        (DIVERGENT, "branchy", "divergent branch"),
-        # (the clc frontend lowers the inner data-dependent for into a
-        # while loop; either spelling is the same decline)
-        (NESTED_DATA_DEPENDENT, "nested", "data-dependent"),
-    ],
-)
-def test_ineligible_kernels_decline_with_reason(source, name, reason_contains):
-    ck = _compile(source, name)
+def _kernel(body, params="__global float* y"):
+    return "__kernel void k({}) {{{}}}".format(params, body)
+
+
+# One kernel per reason the batch tier declines with, compared by
+# equality: a reworded reason, or two checks that swap order, shows up
+# here.
+DECLINES = [
+    pytest.param("local-memory tiling", BARRIER_TILED, id="local-memory"),
+    pytest.param(
+        "vector private array",
+        _kernel("float4 p[2]; y[get_global_id(0)] = 1.0f;"),
+        id="vector-private-array",
+    ),
+    pytest.param(
+        "image loads",
+        _kernel(
+            """
+            const sampler_t smp = CLK_NORMALIZED_COORDS_FALSE;
+            int i = get_global_id(0);
+            float4 row = read_imagef(t, smp, (int2)(i, 0));
+            y[i] = row.y;
+            """,
+            "__read_only image2d_t t, __global float* y",
+        ),
+        id="image",
+    ),
+    pytest.param(
+        "division on a lazily-evaluated path",
+        _kernel(
+            "int i = get_global_id(0); y[i] = i > 0 ? (float) (n / i) : 0.0f;",
+            "__global float* y, int n",
+        ),
+        id="division-select-arm",
+    ),
+    pytest.param(
+        "division on a lazily-evaluated path",
+        _kernel(
+            "int i = get_global_id(0);"
+            " y[i] = (i > 0 && n / i > 1) ? 1.0f : 0.0f;",
+            "__global float* y, int n",
+        ),
+        id="division-and-right",
+    ),
+    # At top level the vector declaration declines first.
+    pytest.param(
+        "vector arithmetic",
+        _kernel(
+            """
+            for (int j = get_global_id(0); j < n; j += get_global_size(0)) {
+                float4 v = vload4(j, x);
+                vstore4(v * 2.0f, j, y);
+            }
+            """,
+            "__global float* y, __global const float* x, int n",
+        ),
+        id="vector-arithmetic",
+    ),
+    pytest.param(
+        "64-bit unsigned shift",
+        _kernel(
+            "int i = get_global_id(0); w[i] = u[i] >>> 3;",
+            "__global long* w, __global const long* u",
+        ),
+        id="long-unsigned-shift",
+    ),
+    pytest.param(
+        "rsqrt on a lazily-evaluated path",
+        _kernel("int i = get_global_id(0); y[i] = i > 0 ? rsqrt((float) i) : 0.0f;"),
+        id="rsqrt-select-arm",
+    ),
+    pytest.param(
+        "memory access on a lazily-evaluated path",
+        _kernel(
+            "int i = get_global_id(0); y[i] = i < n ? x[i] : 0.0f;",
+            "__global float* y, __global const float* x, int n",
+        ),
+        id="memory-select-arm",
+    ),
+    pytest.param(
+        "memory access on a lazily-evaluated path",
+        _kernel(
+            "int i = get_global_id(0);"
+            " y[i] = (i >= n || x[i] > 2.0f) ? 1.0f : 0.0f;",
+            "__global float* y, __global const float* x, int n",
+        ),
+        id="memory-or-right",
+    ),
+    pytest.param(
+        "vector access to a private array",
+        _kernel(
+            """
+            float p[8];
+            int i = get_global_id(0);
+            p[0] = 1.0f;
+            float4 v = vload4(0, p);
+            y[i] = v.x;
+            """
+        ),
+        id="vload-private",
+    ),
+    pytest.param(
+        "barrier synchronization",
+        _kernel("y[get_global_id(0)] = 1.0f; barrier(CLK_GLOBAL_MEM_FENCE);"),
+        id="barrier",
+    ),
+    pytest.param(
+        "data-dependent while loop",
+        _kernel(
+            "int k = 0; while (k < n) { k = k + 1; } y[get_global_id(0)] = k;",
+            "__global float* y, int n",
+        ),
+        id="while",
+    ),
+    # (the clc frontend lowers a for whose update is not `+=` into a
+    # while loop)
+    pytest.param(
+        "data-dependent while loop", NESTED_DATA_DEPENDENT, id="nested-while"
+    ),
+    pytest.param("divergent branch", DIVERGENT, id="if"),
+    pytest.param(
+        "loop control jump",
+        _kernel("for (int k = 0; k < 4; k++) { y[get_global_id(0)] = k; break; }"),
+        id="break",
+    ),
+    pytest.param(
+        "loop control jump",
+        _kernel(
+            "for (int k = 0; k < 4; k++) { y[get_global_id(0)] = k; continue; }"
+        ),
+        id="continue",
+    ),
+    pytest.param(
+        "loop control jump",
+        _kernel("y[get_global_id(0)] = 1.0f; return;"),
+        id="return",
+    ),
+    pytest.param(
+        "varying vector variable at top level",
+        _kernel(
+            "int i = get_global_id(0); float4 v = vload4(i, x); vstore4(v, i, y);",
+            "__global float* y, __global const float* x",
+        ),
+        id="top-level-vector",
+    ),
+    pytest.param(
+        "cross-iteration assignment to an outer variable",
+        _kernel(
+            """
+            float acc = 0.0f;
+            for (int j = get_global_id(0); j < n; j += get_global_size(0)) {
+                acc = acc + x[j];
+            }
+            y[get_global_id(0)] = acc;
+            """,
+            "__global float* y, __global const float* x, int n",
+        ),
+        id="cross-iteration",
+    ),
+    # The first loop's `t` ends with that loop, so the second loop
+    # assigns the outer one.
+    pytest.param(
+        "cross-iteration assignment to an outer variable",
+        _kernel(
+            """
+            int i = get_global_id(0);
+            float t = x[i];
+            for (int j = get_global_id(0); j < n; j += get_global_size(0)) {
+                float t = 1.0f;
+                y[j] = t;
+            }
+            for (int j = get_global_id(0); j < n; j += get_global_size(0)) {
+                t = t + x[j];
+            }
+            y[i] = t;
+            """,
+            "__global float* y, __global const float* x, int n",
+        ),
+        id="cross-iteration-after-shadowing",
+    ),
+    pytest.param(
+        "nested data-dependent loop",
+        _kernel(
+            """
+            for (int k = 0; k < 2; k++) {
+                for (int j = get_global_id(0); j < n; j += get_global_size(0)) {
+                    y[j] = k;
+                }
+            }
+            """,
+            "__global float* y, int n",
+        ),
+        id="nested-stride-loop",
+    ),
+    # Uniform bounds, but the body gives the variable a lane-varying
+    # value, so `while k < hi` would compare a lane array.
+    pytest.param(
+        "lane-varying loop variable",
+        _kernel(
+            "int i = get_global_id(0);"
+            " for (int k = 0; k < 4; k++) { y[i] = 1.0f; k = k + m[i]; }",
+            "__global float* y, __global const int* m",
+        ),
+        id="lane-varying-loop",
+    ),
+]
+
+_DTYPES = {"float": np.float32, "int": np.int32, "long": np.int64}
+
+
+def _ramp_args(kernel, items):
+    """A ramp in every buffer, with room for a 4-wide access per item,
+    and ``items`` for every scalar."""
+    buffers, scalars = {}, {}
+    for param in kernel.params:
+        if param.is_pointer:
+            dtype = _DTYPES[param.ktype.kind]
+            buffers[param.name] = np.arange(4 * items, dtype=dtype)
+        else:
+            scalars[param.name] = items
+    return buffers, scalars
+
+
+@pytest.mark.parametrize("reason,source", DECLINES)
+def test_declining_kernel_names_its_reason_and_runs_per_item(reason, source):
+    (kernel,) = compile_opencl_source(source).values()
+    ck = compile_kernel(kernel)
     assert not ck.batch_supported
-    assert reason_contains in ck.batch_reason
+    assert ck.batch_reason == reason
     assert ck._batch_callable() is None
-    # The standalone predicate agrees with the compiled artifact.
-    supported, reason = batch_eligibility(ck.kernel)
-    assert not supported and reason_contains in reason
+    outputs = {}
+    for tier in ("per-item", "auto"):
+        buffers, scalars = _ramp_args(kernel, 8)
+        assert ck.launch(buffers, scalars, 8, 8, tier=tier).tier == "per-item"
+        outputs[tier] = buffers
+    for name, buf in outputs["per-item"].items():
+        assert np.array_equal(buf, outputs["auto"][name]), name
 
 
 # -- fallback semantics --------------------------------------------------

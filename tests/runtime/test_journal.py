@@ -14,8 +14,10 @@ import zlib
 import pytest
 
 from repro.apps.registry import ALL_BENCHMARKS, BENCHMARKS
+from repro.backend.glue import MAX_SIM_ITEMS_ENV
 from repro.evaluation.harness import run_configuration
 from repro.opencl import kernel_cache as kc
+from repro.opencl.executor import EXEC_TIER_ENV
 from repro.runtime.journal import (
     JOURNAL_FILENAME,
     JOURNAL_VERSION,
@@ -349,6 +351,26 @@ class TestWarmRestart:
         assert_bit_exact(cold, warm)
         assert warm.journal["torn_tail_truncated"] == 1
         assert warm.metrics["journal.torn_tail_truncated"] == 1
+
+    @pytest.mark.parametrize(
+        "env,value",
+        [(MAX_SIM_ITEMS_ENV, "128"), (EXEC_TIER_ENV, "per-item")],
+    )
+    def test_resume_refuses_another_environment_setting(
+        self, tmp_path, monkeypatch, env, value
+    ):
+        # The work-item cap and the tier may come from the environment;
+        # the run key hashes the values the run used, so a resume
+        # without the variable is a different run.
+        bench = BENCHMARKS["parboil-cp"]
+        journal = os.fspath(tmp_path)
+        monkeypatch.setenv(env, value)
+        run_configuration(bench, "gtx580", scale=0.3, steps=2, journal=journal)
+        monkeypatch.delenv(env)
+        with pytest.raises(JournalError, match="different run"):
+            run_configuration(
+                bench, "gtx580", scale=0.3, steps=2, journal=journal, resume=True
+            )
 
     def test_completed_journal_resume_skips_all_items(self, tmp_path):
         cold = run(journal=tmp_path)

@@ -9,6 +9,7 @@ CI runs this as the docs-consistency job.
 """
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
@@ -160,6 +161,37 @@ def test_observability_doc_covers_fusion_instrumentation():
         assert metric in doc, (
             "metric '{}' undocumented in OBSERVABILITY.md".format(metric)
         )
+
+
+def _executor_reasons():
+    """Every decline reason ``opencl/executor.py`` can report: each
+    ``_Ineligible(...)`` literal (the batch tier) and each reason
+    ``_trace_inputs`` yields (the timing memo)."""
+    tree = ast.parse(
+        (ROOT / "src" / "repro" / "opencl" / "executor.py").read_text()
+    )
+    reasons = set()
+    for node in ast.walk(tree):
+        called = getattr(node, "func", None)
+        if getattr(called, "id", None) == "_Ineligible":
+            reasons.add(node.args[0].value)
+        elif isinstance(node, ast.FunctionDef) and node.name == "_trace_inputs":
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Yield):
+                    reasons.add(sub.value.elts[1].value)
+    return reasons
+
+
+def test_observability_doc_names_every_decline_reason():
+    doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    reasons = _executor_reasons()
+    assert "local-memory tiling" in reasons
+    assert "memory-dependent branch" in reasons
+    missing = sorted(r for r in reasons if "`{}`".format(r) not in doc)
+    assert not missing, (
+        "decline reasons undocumented in OBSERVABILITY.md: "
+        + ", ".join(missing)
+    )
 
 
 def test_fusion_doc_covers_planner_contract():
