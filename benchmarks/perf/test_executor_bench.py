@@ -21,14 +21,18 @@ import os
 
 from conftest import SCALE, record_result
 
-from repro.evaluation.perfbench import format_bench, run_bench
+from repro.evaluation.harness import RunSpec
+from repro.evaluation.perfbench import format_bench, nolocal_config, run_bench
 
 SIM_ITEMS = int(os.environ.get("REPRO_BENCH_SIM_ITEMS", "4096"))
 
 
 def test_executor_bench(benchmark):
+    spec = RunSpec(
+        "gtx580", scale=SCALE, max_sim_items=SIM_ITEMS, config=nolocal_config()
+    )
     results = benchmark.pedantic(
-        lambda: run_bench(scale=SCALE, max_sim_items=SIM_ITEMS, repeats=2),
+        lambda: run_bench(spec, repeats=2),
         rounds=1,
         iterations=1,
     )

@@ -60,9 +60,9 @@ def np_dtype(kscalar):
 
 # Simulation knob: cap on simulated work-items per launch. The generated
 # kernels stride over the index space (Figure 4), so capping the NDRange
-# changes only simulation effort, never results. Configurable per filter
-# (Offloader(max_sim_items=...)), per process (REPRO_MAX_SIM_ITEMS), or
-# per CLI invocation (--max-sim-items).
+# changes only simulation effort, never results. Configurable per
+# offloader (Offloader(max_sim_items=...)), per process
+# (REPRO_MAX_SIM_ITEMS), or per CLI invocation (--max-sim-items).
 MAX_SIMULATED_ITEMS = 2048
 
 MAX_SIM_ITEMS_ENV = "REPRO_MAX_SIM_ITEMS"
@@ -70,9 +70,7 @@ MAX_SIM_ITEMS_ENV = "REPRO_MAX_SIM_ITEMS"
 
 def resolve_max_sim_items(explicit=None):
     """The effective work-item cap: an explicit value wins, then the
-    ``REPRO_MAX_SIM_ITEMS`` environment variable, then the default.
-    Resolved lazily (per launch) so runtime changes to the environment
-    or the module default take effect immediately."""
+    ``REPRO_MAX_SIM_ITEMS`` environment variable, then the default."""
     if explicit is not None:
         value = int(explicit)
     else:
@@ -163,9 +161,20 @@ class CompiledFilter:
     """The offloaded worker for one filter task.
 
     Args:
+        options: the compiler's resolved ``OffloadOptions``; every
+            setting (cost model, marshaller, work-item cap, tier,
+            sanitizer, Section 5.3 opt-ins) is read through it.
         bound_values: values for worker parameters bound at task-creation
             time (``task Cls.m(bound...)``), by parameter name. The
             remaining parameter is the stream port.
+
+    The Section 5.3 opt-ins: ``direct_marshal`` ("marshal directly to a
+    format as required for device memory. This would approximately
+    halve the marshaling overhead" — the C-side conversion disappears)
+    and ``overlap`` ("communication costs can be hidden by well-known
+    pipelining techniques that overlap communication and computation"
+    — each stream item's communication hides behind the previous
+    item's kernel).
     """
 
     def __init__(
@@ -175,19 +184,12 @@ class CompiledFilter:
         plan,
         compiled_kernel,
         device,
-        comm,
         profile,
-        marshaller=marshal.SPECIALIZED,
+        options,
         reduce_kernel=None,
         reduce_op=None,
-        local_size=None,
         bound_values=None,
-        direct_marshal=False,
-        overlap=False,
         constant_fallback=None,
-        max_sim_items=None,
-        sanitizer=None,
-        exec_tier=None,
         device_key=None,
     ):
         self.name = name
@@ -195,36 +197,17 @@ class CompiledFilter:
         self.plan = plan  # KernelPlan (None for pure reductions)
         self.compiled_kernel = compiled_kernel
         self.device = device
-        self.comm = comm
         self.profile = profile
-        self.marshaller = marshaller
+        self.options = options
         self.reduce_kernel = reduce_kernel
         self.reduce_op = reduce_op
-        self.local_size = local_size or device.default_local_size
+        self.local_size = options.local_size or device.default_local_size
         self.bound_values = dict(bound_values or {})
-        # Section 5.3's future-work optimizations, implemented as opt-ins:
-        # - direct_marshal: "marshal directly to a format as required for
-        #   device memory. This would approximately halve the marshaling
-        #   overhead" — the C-side conversion disappears.
-        # - overlap: "communication costs can be hidden by well-known
-        #   pipelining techniques that overlap communication and
-        #   computation" — each stream item's communication hides behind
-        #   the previous item's kernel.
-        self.direct_marshal = direct_marshal
-        self.overlap = overlap
         # Lazily-compiled no-constant-memory variant: the compiler places
         # unbounded arrays in constant memory optimistically; the glue
         # checks the actual size at launch time and re-targets global
         # memory when the 64KB capacity is exceeded.
         self.constant_fallback = constant_fallback
-        self.max_sim_items = max_sim_items  # None -> env var -> default
-        # Guarded execution: a SanitizerConfig
-        # (repro.runtime.sanitizer) arms per-launch bounds/race/
-        # divergence/NaN checks and the watchdog; None is the seed path.
-        self.sanitizer = sanitizer
-        # Execution-tier request for kernel launches ("auto"/"batch"/
-        # "per-item"); None defers to REPRO_EXEC_TIER, then auto.
-        self.exec_tier = exec_tier
         # Fleet identity: the short device key ("gtx580") this filter's
         # launches run on. None outside fleet runs, which keeps kernel
         # charges arg-free and single-device traces byte-identical.
@@ -284,7 +267,7 @@ class CompiledFilter:
         placed device's filter, then :meth:`run_prepared` — possibly on
         another device's filter after a failover."""
         record = LaunchRecord(value=value, seq=self.launches)
-        if self.overlap:
+        if self.options.overlap:
             record.deferred = _DeferredCharges()
         sink = record.deferred or self.profile.tracer
         try:
@@ -315,7 +298,7 @@ class CompiledFilter:
             self._abandon(record, err)
             raise
         scale = 1.0
-        if self.overlap and self.launches > 0:
+        if self.options.overlap and self.launches > 0:
             scale = self._hide_communication(stages)
         if record.deferred is not None:
             record.deferred.flush(self.profile.tracer, scale)
@@ -346,8 +329,9 @@ class CompiledFilter:
         h2d marshal + transfer is charged here. After that the param is
         ordinary marshalled payload for any further failover."""
         sink = record.deferred or self.profile.tracer
+        options = self.options
         if record.payload_bytes > 0:
-            tns = self.comm.transfer_ns(record.payload_bytes)
+            tns = options.comm.transfer_ns(record.payload_bytes)
             record.stages.transfer += tns
             sink.charge(
                 "transfer",
@@ -366,20 +350,20 @@ class CompiledFilter:
             marshal.settle_resident_meta(
                 meta, self.profile, reason="failover"
             )
-            jns = self.comm.java_marshal_ns(meta.stats)
+            jns = options.comm.java_marshal_ns(meta.stats)
             record.stages.java_marshal += jns
             sink.charge(
                 "java_marshal", jns, cat="stage", param=param_name,
                 failover=True,
             )
-            if not self.direct_marshal:
-                cns = self.comm.c_marshal_ns(meta.stats)
+            if not options.direct_marshal:
+                cns = options.comm.c_marshal_ns(meta.stats)
                 record.stages.c_marshal += cns
                 sink.charge(
                     "c_marshal", cns, cat="stage", param=param_name,
                     failover=True,
                 )
-            tns = self.comm.transfer_ns(meta.payload_bytes)
+            tns = options.comm.transfer_ns(meta.payload_bytes)
             record.stages.transfer += tns
             sink.charge(
                 "transfer",
@@ -411,7 +395,7 @@ class CompiledFilter:
         if self.stream_param is None:
             return b""
         data, _stats = marshal.serialize(
-            value, self.stream_param.type, self.marshaller
+            value, self.stream_param.type, self.options.marshaller
         )
         return data
 
@@ -420,14 +404,14 @@ class CompiledFilter:
         if self.stream_param is None:
             return None
         value, _stats = marshal.deserialize(
-            data, self.stream_param.type, self.marshaller
+            data, self.stream_param.type, self.options.marshaller
         )
         return value
 
     def result_wire(self, result):
         """A completed item's output in marshalled wire form."""
         data, _stats = marshal.serialize(
-            result, self.worker.return_type, self.marshaller
+            result, self.worker.return_type, self.options.marshaller
         )
         return data
 
@@ -437,7 +421,7 @@ class CompiledFilter:
         journal-skipped item yields the bit-exact value a recomputed
         one would."""
         value, _stats = marshal.deserialize(
-            data, self.worker.return_type, self.marshaller
+            data, self.worker.return_type, self.options.marshaller
         )
         return value
 
@@ -486,6 +470,7 @@ class CompiledFilter:
         dict param-name -> device-side value. ``sink`` receives the
         stage charges (the tracer, or the record's deferred buffer in
         overlap mode)."""
+        options = self.options
         device_values = {}
         stages = record.stages
         items = list(self.bound_values.items())
@@ -498,9 +483,9 @@ class CompiledFilter:
             ):
                 continue
             data, stats = marshal.serialize(
-                host_value, lime_type, self.marshaller
+                host_value, lime_type, options.marshaller
             )
-            jns = self.comm.java_marshal_ns(stats)
+            jns = options.comm.java_marshal_ns(stats)
             stages.java_marshal += jns
             sink.charge("java_marshal", jns, cat="stage", param=param_name)
             # The marshal cost above is charged before the wire check:
@@ -508,17 +493,17 @@ class CompiledFilter:
             # resilience layer bills that time as recovery overhead.
             data = self._transmit(data, "h2d")
             device_value, c_stats = marshal.deserialize(
-                data, lime_type, self.marshaller
+                data, lime_type, options.marshaller
             )
-            if not self.direct_marshal:
-                cns = self.comm.c_marshal_ns(c_stats)
+            if not options.direct_marshal:
+                cns = options.comm.c_marshal_ns(c_stats)
                 stages.c_marshal += cns
                 sink.charge("c_marshal", cns, cat="stage", param=param_name)
             self.profile.metrics.inc(
                 "transfer.bytes_to_device", stats.payload_bytes
             )
             record.payload_bytes += stats.payload_bytes
-            tns = self.comm.transfer_ns(stats.payload_bytes)
+            tns = options.comm.transfer_ns(stats.payload_bytes)
             stages.transfer += tns
             sink.charge(
                 "transfer",
@@ -590,13 +575,14 @@ class CompiledFilter:
     def _make_guard(self, kernel_name):
         """A fresh per-launch guard (watchdog budget and trip counters
         are per launch); None when guarded execution is off."""
-        if self.sanitizer is None or not self.sanitizer.instruments_launch():
+        sanitizer = self.options.sanitizer
+        if sanitizer is None or not sanitizer.instruments_launch():
             return None
-        return LaunchGuard(self.sanitizer, kernel_name, task=self.name)
+        return LaunchGuard(sanitizer, kernel_name, task=self.name)
 
     def _launch_config(self, n):
         local = self.local_size
-        items = min(max(n, 1), resolve_max_sim_items(self.max_sim_items))
+        items = min(max(n, 1), self.options.max_sim_items)
         global_size = ((items + local - 1) // local) * local
         return global_size, local
 
@@ -699,7 +685,7 @@ class CompiledFilter:
             local,
             injector=self.injector,
             guard=self._make_guard(kernel.name),
-            tier=self.exec_tier,
+            tier=self.options.exec_tier,
             tracer=self.profile.tracer,
             index_base=index_base,
             device=self.device_key,
@@ -739,7 +725,7 @@ class CompiledFilter:
             global_size=trace.global_size,
             **charge_args,
         )
-        setup_ns = self.comm.setup_ns(buffers=n_buffers, launches=1)
+        setup_ns = self.options.comm.setup_ns(buffers=n_buffers, launches=1)
         stages.opencl_setup += setup_ns
         sink.charge("opencl_setup", setup_ns, cat="stage", buffers=n_buffers)
         metrics = self.profile.metrics
@@ -885,7 +871,7 @@ class CompiledFilter:
             local,
             injector=self.injector,
             guard=self._make_guard(self.reduce_kernel.kernel.name),
-            tier=self.exec_tier,
+            tier=self.options.exec_tier,
             tracer=self.profile.tracer,
             device=self.device_key,
         )
@@ -916,20 +902,25 @@ class CompiledFilter:
             result = result.reshape(-1, self.plan.output_row)
         if self.emit_resident:
             return self._outbound_resident(result, return_type)
-        data, c_stats = marshal.serialize(result, return_type, self.marshaller)
+        options = self.options
+        data, c_stats = marshal.serialize(
+            result, return_type, options.marshaller
+        )
         data = self._transmit(data, "d2h")
-        if not self.direct_marshal:
-            cns = self.comm.c_marshal_ns(c_stats)
+        if not options.direct_marshal:
+            cns = options.comm.c_marshal_ns(c_stats)
             stages.c_marshal += cns
             sink.charge("c_marshal", cns, cat="stage", direction="d2h")
-        value, j_stats = marshal.deserialize(data, return_type, self.marshaller)
-        jns = self.comm.java_marshal_ns(j_stats)
+        value, j_stats = marshal.deserialize(
+            data, return_type, options.marshaller
+        )
+        jns = options.comm.java_marshal_ns(j_stats)
         stages.java_marshal += jns
         sink.charge("java_marshal", jns, cat="stage", direction="d2h")
         self.profile.metrics.inc(
             "transfer.bytes_from_device", c_stats.payload_bytes
         )
-        tns = self.comm.transfer_ns(c_stats.payload_bytes)
+        tns = options.comm.transfer_ns(c_stats.payload_bytes)
         stages.transfer += tns
         sink.charge(
             "transfer",
@@ -950,14 +941,15 @@ class CompiledFilter:
         the returned value's :class:`~repro.runtime.marshal
         .ResidentMeta`, settled exactly once by whoever forces the
         value back to the host (fused same-device consumers never do)."""
+        options = self.options
         data, c_stats = marshal.serialize(
-            result, return_type, self.marshaller
+            result, return_type, options.marshaller
         )
         value, j_stats = marshal.deserialize(
-            data, return_type, self.marshaller
+            data, return_type, options.marshaller
         )
         d2h_c_ns = (
-            0.0 if self.direct_marshal else self.comm.c_marshal_ns(c_stats)
+            0.0 if options.direct_marshal else options.comm.c_marshal_ns(c_stats)
         )
         meta = marshal.ResidentMeta(
             producer=self.name,
@@ -965,7 +957,7 @@ class CompiledFilter:
             payload_bytes=c_stats.payload_bytes,
             stats=c_stats,
             d2h_c_ns=d2h_c_ns,
-            d2h_j_ns=self.comm.java_marshal_ns(j_stats),
-            d2h_t_ns=self.comm.transfer_ns(c_stats.payload_bytes),
+            d2h_j_ns=options.comm.java_marshal_ns(j_stats),
+            d2h_t_ns=options.comm.transfer_ns(c_stats.payload_bytes),
         )
         return marshal.make_resident(value, meta)

@@ -673,17 +673,22 @@ def cmd_serve_bench(args):
 
 def cmd_bench(args):
     from repro.apps.registry import BENCHMARKS
-    from repro.evaluation.perfbench import format_bench, run_bench
+    from repro.evaluation.harness import RunSpec
+    from repro.evaluation.perfbench import format_bench, nolocal_config, run_bench
 
     apps = args.apps or sorted(BENCHMARKS)
     if _unknown_benchmarks(apps):
         return 1
-    results = run_bench(
-        apps=apps,
+    spec = RunSpec(
+        args.target,
         scale=args.scale,
         max_sim_items=args.max_sim_items,
+        config=nolocal_config(),
+    )
+    results = run_bench(
+        spec,
+        apps=apps,
         repeats=args.repeats,
-        target=args.target,
         out_path=args.out,
         trace_out=args.trace_out,
     )

@@ -15,14 +15,18 @@ Lime program on a given simulated GPU is::
     offloader = Offloader(device=get_device("gtx580"))
     engine = Engine(checked, offloader=offloader)
     engine.run_static("NBody", "main")
+
+Every setting a compile and its launches use is one frozen
+:class:`OffloadOptions`, built once per offloader.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from repro.backend.glue import CompiledFilter
+from repro.backend.glue import CompiledFilter, resolve_max_sim_items
 from repro.compiler import kernels as kernel_id
 from repro.compiler.lower_kernel import (
     BoundSpec,
@@ -34,12 +38,59 @@ from repro.compiler.memopt import plan_memory
 from repro.compiler.options import OptimizationConfig
 from repro.errors import KernelRejected
 from repro.ir.patterns import analyze_worker
+from repro.opencl.executor import resolve_exec_tier
 from repro.opencl.kernel_cache import cached_compile_kernel
 from repro.runtime import marshal
-from repro.runtime.profiler import CommCostModel
+from repro.runtime.profiler import CommCostModel, ExecutionProfile
+from repro.runtime.sanitizer import SanitizerConfig
 from repro.backend.kernel_ir import Space as _KSpace
 
 _CONSTANT_SPACE = _KSpace.CONSTANT
+
+
+@dataclass(frozen=True)
+class OffloadOptions:
+    """Everything an offloader compiles and launches with.
+
+    ``direct_marshal`` and ``overlap`` enable the paper's Section 5.3
+    future-work optimizations (direct-to-device serialization, and
+    hiding communication behind the previous stream item's kernel).
+    ``sanitizer``, when it instruments launches, runs every kernel
+    under a :class:`repro.runtime.sanitizer.LaunchGuard`.
+
+    Construction fills ``config`` and ``comm`` with their defaults and
+    resolves the work-item cap and the execution tier from
+    ``REPRO_MAX_SIM_ITEMS`` and ``REPRO_EXEC_TIER`` when they are None,
+    so the environment is read once per offloader, never per launch.
+    """
+
+    config: Optional[OptimizationConfig] = None  # None: everything on
+    comm: Optional[CommCostModel] = None
+    marshaller: object = marshal.SPECIALIZED  # or marshal.GENERIC
+    local_size: Optional[int] = None  # None: the device default
+    direct_marshal: bool = False
+    overlap: bool = False
+    max_sim_items: Optional[int] = None
+    sanitizer: Optional[SanitizerConfig] = None
+    exec_tier: Optional[str] = None  # "auto" / "batch" / "per-item"
+
+    def __post_init__(self):
+        resolved = {
+            "config": self.config or OptimizationConfig(),
+            "comm": self.comm or CommCostModel(),
+            "max_sim_items": resolve_max_sim_items(self.max_sim_items),
+            "exec_tier": resolve_exec_tier(self.exec_tier),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+
+def _options(options, fields):
+    """``options`` (or the defaults) with keyword ``fields`` replaced —
+    the keyword form of every compile entry point."""
+    if options is None:
+        return OffloadOptions(**fields)
+    return replace(options, **fields) if fields else options
 
 
 def _bound_specs(shape):
@@ -107,58 +158,55 @@ def _lower_map(
     return plan
 
 
+def _lower_filter_map(checked, map_shape, name, config, device, tracer):
+    """Lower a filter's map kernel. Fused nested maps unwind first: walk
+    down to the true (param/iota) source, collecting the inner
+    per-element functions innermost-first."""
+    fused = []
+    base_source = map_shape.source
+    inner_shape = map_shape
+    while base_source.kind == "fused":
+        inner_shape = base_source.inner
+        fused.append((inner_shape.mapped_method, _bound_specs(inner_shape)))
+        base_source = inner_shape.source
+    fused.reverse()
+    return _lower_map(
+        checked,
+        map_shape.mapped_method,
+        base_source,
+        inner_shape.elem_type,
+        _bound_specs(map_shape),
+        fused,
+        name.replace(".", "_") + "_kernel",
+        config,
+        device,
+        tracer,
+    )
+
+
 def compile_filter(
     checked,
     worker,
     device,
-    config=None,
-    comm=None,
     profile=None,
-    marshaller=marshal.SPECIALIZED,
-    local_size=None,
     bound_values=None,
-    direct_marshal=False,
-    overlap=False,
-    max_sim_items=None,
-    sanitizer=None,
-    exec_tier=None,
     device_key=None,
+    options=None,
+    **fields,
 ):
-    """Compile one filter worker for ``device``.
+    """Compile one filter worker for ``device`` under ``options`` (an
+    :class:`OffloadOptions`; keyword ``fields`` replace its fields).
 
     ``bound_values`` supplies values for worker parameters bound at
-    task-creation time (``task Cls.m(bound...)``). ``direct_marshal``
-    and ``overlap`` enable the paper's Section 5.3 future-work
-    optimizations (direct-to-device serialization, and hiding
-    communication behind the previous stream item's kernel).
-    ``sanitizer`` is an optional
-    :class:`repro.runtime.sanitizer.SanitizerConfig`; when it
-    instruments launches, the generated glue runs every kernel under a
-    :class:`repro.runtime.sanitizer.LaunchGuard`.
+    task-creation time (``task Cls.m(bound...)``).
 
     Returns a :class:`CompiledFilter`; raises
     :class:`repro.errors.KernelRejected` when the worker does not match
     an offloadable shape.
     """
-    from repro.runtime.profiler import ExecutionProfile
-
-    config = config or OptimizationConfig()
+    options = _options(options, fields)
+    config = options.config
     profile = profile if profile is not None else ExecutionProfile()
-    # Everything the glue takes besides the kernels, and everything a
-    # no-constant-memory recompile needs besides the config.
-    glue = dict(
-        comm=comm or CommCostModel(),
-        profile=profile,
-        marshaller=marshaller,
-        local_size=local_size,
-        bound_values=bound_values,
-        direct_marshal=direct_marshal,
-        overlap=overlap,
-        max_sim_items=max_sim_items,
-        sanitizer=sanitizer,
-        exec_tier=exec_tier,
-        device_key=device_key,
-    )
 
     # Compile-stage spans carry no simulated time (the paper's timing
     # model starts at the glue); their wall_ns shows where the
@@ -191,94 +239,52 @@ def compile_filter(
                 )
             reduce_kernel = cached_compile_kernel(reduce_ir, profile=profile)
         map_shape = shape.map or shape.reduce.inner_map
-        if map_shape is None:
-            # Pure reduction over the worker's input array.
-            return CompiledFilter(
-                name=name,
-                worker=worker,
-                plan=None,
-                compiled_kernel=None,
-                device=device,
-                reduce_kernel=reduce_kernel,
-                reduce_op=reduce_op,
-                **glue,
+        # No map shape: a pure reduction over the worker's input array.
+        plan = compiled = constant_fallback = None
+        if map_shape is not None:
+            plan = _lower_filter_map(
+                checked, map_shape, name, config, device, tracer
             )
-
-        mapped = map_shape.mapped_method
-        # Unwind fused nested maps: walk down to the true (param/iota)
-        # source, collecting the inner per-element functions
-        # innermost-first.
-        fused = []
-        base_source = map_shape.source
-        inner_shape = map_shape
-        while base_source.kind == "fused":
-            inner_shape = base_source.inner
-            fused.append(
-                (inner_shape.mapped_method, _bound_specs(inner_shape))
+            compiled = cached_compile_kernel(plan.kernel, profile=profile)
+            uses_constant = any(
+                param.is_pointer and param.space is _CONSTANT_SPACE
+                for param in plan.kernel.params
             )
-            base_source = inner_shape.source
-        fused.reverse()
-
-        plan = _lower_map(
-            checked,
-            mapped,
-            base_source,
-            inner_shape.elem_type,
-            _bound_specs(map_shape),
-            fused,
-            name.replace(".", "_") + "_kernel",
-            config,
-            device,
-            tracer,
-        )
-        compiled = cached_compile_kernel(plan.kernel, profile=profile)
-
-        constant_fallback = None
-        uses_constant = any(
-            param.is_pointer and param.space is _CONSTANT_SPACE
-            for param in plan.kernel.params
-        )
-        if uses_constant and config.use_constant:
-            constant_fallback = functools.partial(
-                compile_filter,
-                checked,
-                worker,
-                device,
-                config=replace(config, use_constant=False),
-                **glue,
-            )
-
+            if uses_constant and config.use_constant:
+                constant_fallback = functools.partial(
+                    compile_filter,
+                    checked,
+                    worker,
+                    device,
+                    profile=profile,
+                    bound_values=bound_values,
+                    device_key=device_key,
+                    options=options,
+                    config=replace(config, use_constant=False),
+                )
         return CompiledFilter(
             name=name,
             worker=worker,
             plan=plan,
             compiled_kernel=compiled,
             device=device,
+            profile=profile,
+            options=options,
             reduce_kernel=reduce_kernel,
             reduce_op=reduce_op,
+            bound_values=bound_values,
             constant_fallback=constant_fallback,
-            **glue,
+            device_key=device_key,
         )
 
 
 def compile_fused_filter(
-    checked,
-    members,
-    device,
-    config=None,
-    comm=None,
-    profile=None,
-    marshaller=marshal.SPECIALIZED,
-    local_size=None,
-    direct_marshal=False,
-    overlap=False,
-    max_sim_items=None,
-    sanitizer=None,
-    exec_tier=None,
-    device_key=None,
+    checked, members, device, profile=None, device_key=None, options=None,
+    **fields,
 ):
     """Compile a legal chain of map filters into one composite
-    :class:`CompiledFilter` (cross-task kernel fusion, --fuse kernel).
+    :class:`CompiledFilter` (cross-task kernel fusion, --fuse kernel),
+    under ``options`` as :func:`compile_filter` takes them.
 
     ``members`` is a list of ``(worker MethodDecl, bound_values)``
     pairs in pipeline order; legality is checked by
@@ -290,10 +296,8 @@ def compile_fused_filter(
     and the result is cached content-addressed like any other kernel.
     """
     from repro.compiler.fusion import build_fused_spec
-    from repro.runtime.profiler import ExecutionProfile
 
-    config = config or OptimizationConfig()
-    comm = comm or CommCostModel()
+    options = _options(options, fields)
     profile = profile if profile is not None else ExecutionProfile()
 
     spec = build_fused_spec(checked, members)
@@ -311,7 +315,7 @@ def compile_fused_filter(
             spec.bound_specs,
             spec.fused_inner,
             name.replace(".", "_").replace("+", "__") + "_kernel",
-            config,
+            options.config,
             device,
             tracer,
         )
@@ -323,16 +327,9 @@ def compile_fused_filter(
             plan=plan,
             compiled_kernel=compiled,
             device=device,
-            comm=comm,
             profile=profile,
-            marshaller=marshaller,
-            local_size=local_size,
+            options=options,
             bound_values=spec.bound_values,
-            direct_marshal=direct_marshal,
-            overlap=overlap,
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
             device_key=device_key,
         )
 
@@ -342,46 +339,18 @@ class Offloader:
 
     Args:
         device: the target :class:`DeviceModel`.
-        config: optimization toggles (defaults to everything on).
-        comm: communication cost model.
-        marshaller: wire-format implementation (specialized or generic).
-        local_size: override the work-group size.
-
-    The remaining keyword arguments (``direct_marshal``, ``overlap``,
-    ``max_sim_items``, ``sanitizer``, ``exec_tier``) pass through to
-    :func:`compile_filter`.
+        options: the :class:`OffloadOptions` every compile of this
+            service uses (default: all defaults); keyword ``fields``
+            (``config=...``, ``local_size=...``) replace its fields.
 
     ``rejections`` records (worker, reason) pairs for tasks that fell
     back to the host — useful for diagnosing why something did not
     offload.
     """
 
-    def __init__(
-        self,
-        device,
-        config=None,
-        comm=None,
-        marshaller=marshal.SPECIALIZED,
-        local_size=None,
-        direct_marshal=False,
-        overlap=False,
-        max_sim_items=None,
-        sanitizer=None,
-        exec_tier=None,
-    ):
+    def __init__(self, device, options=None, **fields):
         self.device = device
-        # What every compile of this service passes to the compiler.
-        self.options = dict(
-            config=config or OptimizationConfig(),
-            comm=comm or CommCostModel(),
-            marshaller=marshaller,
-            local_size=local_size,
-            direct_marshal=direct_marshal,
-            overlap=overlap,
-            max_sim_items=max_sim_items,
-            sanitizer=sanitizer,
-            exec_tier=exec_tier,
-        )
+        self.options = _options(options, fields)
         self.rejections = []
         self.compiled = {}
 
@@ -396,7 +365,7 @@ class Offloader:
                 device=self.device,
                 profile=profile,
                 bound_values=bound_values,
-                **self.options,
+                options=self.options,
             )
         except KernelRejected as reason:
             self.rejections.append((key, str(reason)))
@@ -411,7 +380,7 @@ class Offloader:
         the seam and falls back to buffer residency."""
         return compile_fused_filter(
             checked, members, device=self.device, profile=profile,
-            **self.options,
+            options=self.options,
         )
 
 
@@ -439,19 +408,21 @@ class FleetOffloader(Offloader):
             owner bound (fleet metrics are daemon-level, not
             per-session), so ``compile_filter`` does not rebind it.
 
-    The remaining keyword arguments are :class:`Offloader`'s. Its
+    ``options`` and keyword ``fields`` are :class:`Offloader`'s. Its
     ``device`` is the first fleet device, for callers that report a
     primary target (the harness result header).
     """
 
-    def __init__(self, devices=None, policy=None, fleet=None, **options):
+    def __init__(
+        self, devices=None, policy=None, fleet=None, options=None, **fields
+    ):
         from repro.runtime.fleet import DeviceFleet
 
         self._owns_fleet = fleet is None
         if fleet is None:
             fleet = DeviceFleet(devices, policy=policy)
         self.fleet = fleet
-        super().__init__(fleet.devices[fleet.keys[0]], **options)
+        super().__init__(fleet.devices[fleet.keys[0]], options, **fields)
 
     def compile_filter(self, checked, worker, profile, bound_values=None):
         key = worker.qualified_name
@@ -497,8 +468,8 @@ class FleetOffloader(Offloader):
                 device=self.fleet.devices[key],
                 profile=profile,
                 device_key=key,
+                options=self.options,
                 **kwargs,
-                **self.options,
             )
             for key in self.fleet.keys
         }

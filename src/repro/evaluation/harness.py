@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.compiler.options import OptimizationConfig
-from repro.compiler.pipeline import FleetOffloader, Offloader
+from repro.compiler.pipeline import FleetOffloader, OffloadOptions, Offloader
 from repro.opencl.device import CORE_I7, get_device
 from repro.runtime.engine import Engine
 from repro.runtime.profiler import CommCostModel
@@ -167,8 +167,8 @@ class RunSpec:
         ``devices`` — or over the shared ``fleet`` (a
         :class:`repro.runtime.fleet.DeviceFleet`) when given — the
         target's :class:`Offloader`, or None for the bytecode
-        baseline."""
-        options = dict(
+        baseline. Its :class:`OffloadOptions` are built here, once."""
+        options = OffloadOptions(
             config=self.config,
             max_sim_items=self.max_sim_items,
             sanitizer=self.sanitizer,
@@ -179,7 +179,7 @@ class RunSpec:
                 list(self.devices),
                 policy=self.fleet_policy,
                 fleet=fleet,
-                **options,
+                options=options,
             )
         target = TARGETS[self.target]
         if target.kind == "bytecode":
@@ -187,10 +187,10 @@ class RunSpec:
         if target.kind == "cpu":
             return Offloader(
                 CORE_I7.with_cores(target.cores),
+                options,
                 comm=CommCostModel.for_cpu(),
-                **options,
             )
-        return Offloader(get_device(target.device_name), **options)
+        return Offloader(get_device(target.device_name), options)
 
     def journal_descriptor(self, benchmark, resilience):
         """What the journal's run key hashes: the benchmark name, every

@@ -19,11 +19,10 @@ Results are written as ``BENCH_executor.json`` (see
 ``benchmarks/perf/``), which CI's perf-smoke job gates on: the batch
 tier must not be slower than per-item on any eligible kernel.
 
-By default the benchmark compiles with ``use_local=False`` so that
-local-memory tiling does not exclude the compute-heavy apps from the
-batch tier (the tier declines kernels with barriers or LOCAL arrays);
-``config=None`` on the entry points means "nolocal", not the compiler
-default.
+Every entry point takes the :class:`RunSpec` it runs under. ``repro
+bench`` compiles with :func:`nolocal_config` so that local-memory
+tiling does not exclude the compute-heavy apps from the batch tier
+(the tier declines kernels with barriers or LOCAL arrays).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import contextlib
 import os
 import tempfile
 import time
-from dataclasses import replace as _dc_replace
+from dataclasses import replace
 
 from repro.apps.registry import BENCHMARKS
 from repro.compiler.options import OptimizationConfig
@@ -40,16 +39,18 @@ from repro.evaluation.harness import RunSpec, run_configuration
 from repro.ioutil import atomic_write_json
 from repro.opencl import executor as ex
 
-DEFAULT_MAX_SIM_ITEMS = 4096
-
 # The app the warm-restart measurement journals and resumes.
 WARM_RESTART_APP = "jg-series-single"
 
+# The pinned run of the canonical counters and the warm restart:
+# default compiler config, fixed scale and work-item cap.
+METRICS_PIN = RunSpec(scale=0.3, max_sim_items=256)
+
 
 def nolocal_config():
-    """The benchmark's default config: local-memory staging off so the
-    batch tier is eligible for every app's kernels."""
-    return _dc_replace(OptimizationConfig(), use_local=False)
+    """The benchmark's config: local-memory staging off so the batch
+    tier is eligible for every app's kernels."""
+    return replace(OptimizationConfig(), use_local=False)
 
 
 @contextlib.contextmanager
@@ -71,7 +72,7 @@ def capture_launches():
         local_size,
         injector=None,
         guard=None,
-        tier=None,
+        tier="auto",
         tracer=None,
         index_base=0,
         device=None,
@@ -126,16 +127,8 @@ def _time_replay(compiled, launches, tier, repeats):
     return min(_replay_once(compiled, launches, tier) for _ in range(repeats))
 
 
-def bench_app(
-    name,
-    scale=1.0,
-    max_sim_items=DEFAULT_MAX_SIM_ITEMS,
-    repeats=3,
-    config=None,
-    target="gtx580",
-    tracer=None,
-):
-    """Benchmark one app; returns a plain-dict result.
+def bench_app(name, spec, repeats=3, tracer=None):
+    """Benchmark one app under ``spec``; returns a plain-dict result.
 
     ``tracer`` traces the capture run (the end-to-end pass that records
     the launch payloads) — one shared tracer across apps gives
@@ -143,19 +136,10 @@ def bench_app(
     its time.
     """
     bench = BENCHMARKS[name]
-    config = config or nolocal_config()
     with capture_launches() as captured:
-        run_configuration(
-            bench,
-            target,
-            scale=scale,
-            steps=1,
-            config=config,
-            max_sim_items=max_sim_items,
-            tracer=tracer,
-        )
+        run_configuration(bench, spec, steps=1, tracer=tracer)
     start = time.perf_counter()
-    run_configuration(bench, "bytecode", scale=scale, steps=1)
+    run_configuration(bench, "bytecode", scale=spec.scale, steps=1)
     host_s = time.perf_counter() - start
 
     kernels = {}
@@ -181,29 +165,28 @@ def bench_app(
         )
         best = max(best, entry["speedup"])
         kernels[kname] = entry
+    return dict(
+        app=name,
+        **_pins(spec),
+        host_interp_s=host_s,
+        kernels=kernels,
+        best_batch_speedup=best,
+    )
+
+
+def _pins(spec):
+    """The run settings every result file reports."""
     return {
-        "app": name,
-        "target": target,
-        "scale": scale,
-        "max_sim_items": max_sim_items,
-        "host_interp_s": host_s,
-        "kernels": kernels,
-        "best_batch_speedup": best,
+        "target": spec.target,
+        "scale": spec.scale,
+        "max_sim_items": spec.max_sim_items,
     }
 
 
-def run_bench(
-    apps=None,
-    scale=1.0,
-    max_sim_items=DEFAULT_MAX_SIM_ITEMS,
-    repeats=3,
-    config=None,
-    target="gtx580",
-    out_path=None,
-    trace_out=None,
-):
-    """Benchmark ``apps`` (default: all nine) and optionally write the
-    ``BENCH_executor.json`` payload to ``out_path``.
+def run_bench(spec, apps=None, repeats=3, out_path=None, trace_out=None):
+    """Benchmark ``apps`` (default: all nine) under ``spec`` and
+    optionally write the ``BENCH_executor.json`` payload to
+    ``out_path``.
 
     ``trace_out`` writes one trace file covering every app's capture
     run (Chrome JSON, or JSONL when the path ends in ``.jsonl``).
@@ -212,33 +195,16 @@ def run_bench(
 
     tracer = Tracer() if trace_out is not None else None
     apps = list(apps) if apps else sorted(BENCHMARKS)
-    results = {
-        "target": target,
-        "scale": scale,
-        "max_sim_items": max_sim_items,
-        "repeats": repeats,
-        "apps": {},
-    }
+    results = dict(_pins(spec), repeats=repeats, apps={})
     for name in apps:
-        results["apps"][name] = bench_app(
-            name,
-            scale=scale,
-            max_sim_items=max_sim_items,
-            repeats=repeats,
-            config=config,
-            target=target,
-            tracer=tracer,
-        )
+        results["apps"][name] = bench_app(name, spec, repeats, tracer)
     results["apps_with_5x_batch_speedup"] = sorted(
         name
         for name, app in results["apps"].items()
         if app["best_batch_speedup"] >= 5.0
     )
     results["warm_restart"] = warm_restart_metrics(
-        app=WARM_RESTART_APP,
-        target=target,
-        scale=METRICS_PIN_SCALE,
-        max_sim_items=METRICS_PIN_SIM_ITEMS,
+        replace(METRICS_PIN, target=spec.target)
     )
     if out_path is not None:
         atomic_write_json(out_path, results)
@@ -250,27 +216,19 @@ def run_bench(
     return results
 
 
-METRICS_PIN_SCALE = 0.3
-METRICS_PIN_SIM_ITEMS = 256
-
-
-def warm_restart_metrics(
-    app=WARM_RESTART_APP,
-    target="gtx580",
-    scale=METRICS_PIN_SCALE,
-    max_sim_items=METRICS_PIN_SIM_ITEMS,
-):
-    """Measure the crash-recovery warm restart: journal a full run into
-    a temp directory (with the on-disk kernel store enabled), drop the
-    in-memory kernel cache as a process restart would, resume, and
-    report the resumed run's integer counters. The interesting ones:
-    ``journal.items_skipped`` (every item served from the WAL) and
-    ``cache.disk_hits`` with ``cache.misses`` absent — zero recompiles.
+def warm_restart_metrics(spec, app=WARM_RESTART_APP):
+    """Measure the crash-recovery warm restart under ``spec``: journal
+    a full run into a temp directory (with the on-disk kernel store
+    enabled), drop the in-memory kernel cache as a process restart
+    would, resume, and report the resumed run's integer counters. The
+    interesting ones: ``journal.items_skipped`` (every item served from
+    the WAL) and ``cache.disk_hits`` with ``cache.misses`` absent —
+    zero recompiles.
     """
     from repro.opencl import kernel_cache as kc
 
     bench = BENCHMARKS[app]
-    spec = RunSpec(target, scale=scale, steps=1, max_sim_items=max_sim_items)
+    spec = replace(spec, steps=1)
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         journal_dir = os.path.join(tmp, "journal")
         kc.configure_disk_store(os.path.join(tmp, "kernels"))
@@ -283,29 +241,28 @@ def warm_restart_metrics(
         finally:
             kc.configure_disk_store(None)
             kc.reset_global_cache()
-    metrics = {
-        key: value
-        for key, value in sorted(warm.metrics.items())
-        if isinstance(value, int) and not isinstance(value, bool)
-    }
     return {
         "app": app,
         "bit_exact": warm.checksum == cold.checksum,
-        "metrics": metrics,
+        "metrics": _counters(warm),
     }
 
 
-def collect_metrics(
-    apps=None,
-    scale=METRICS_PIN_SCALE,
-    max_sim_items=METRICS_PIN_SIM_ITEMS,
-    target="gtx580",
-):
+def _counters(result):
+    """A run's integer-valued metrics, in key order."""
+    return {
+        key: value
+        for key, value in sorted(result.metrics.items())
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
+
+
+def collect_metrics(apps=None, spec=METRICS_PIN):
     """Capture every app's canonical counters at a *pinned* config.
 
-    Runs each app end to end (default compiler config, fixed scale and
-    work-item cap — deliberately independent of the REPRO_BENCH_* env
-    knobs) and keeps the integer-valued metrics from
+    Runs each app end to end under ``spec`` (by default
+    :data:`METRICS_PIN` — deliberately independent of the REPRO_BENCH_*
+    env knobs) and keeps the integer-valued metrics from
     ``RunResult.metrics``: ``executor.launches.*``, ``cache.*``,
     ``transfer.bytes_*``, histogram ``.count``s, and any ``recovery.*``
     / ``guards.*`` activity. Simulated-nanosecond floats are dropped —
@@ -314,36 +271,16 @@ def collect_metrics(
     commit (see ``benchmarks/perf/test_metrics_baseline.py``).
     """
     apps = list(apps) if apps else sorted(BENCHMARKS)
-    out = {
-        "target": target,
-        "scale": scale,
-        "max_sim_items": max_sim_items,
-        "apps": {},
-    }
+    out = dict(_pins(spec), apps={})
     for name in apps:
-        result = run_configuration(
-            BENCHMARKS[name],
-            target,
-            scale=scale,
-            steps=1,
-            max_sim_items=max_sim_items,
-        )
-        out["apps"][name] = {
-            key: value
-            for key, value in sorted(result.metrics.items())
-            if isinstance(value, int) and not isinstance(value, bool)
-        }
+        result = run_configuration(BENCHMARKS[name], spec, steps=1)
+        out["apps"][name] = _counters(result)
     # A pseudo-app capturing the journaled warm restart at the same
     # pinned config: its journal.items_skipped / cache.disk_hits counts
     # are diffed against the committed baseline like any other app, so
     # a regression in crash recovery shows up as a CI metrics diff.
     out["apps"]["warm-restart({})".format(WARM_RESTART_APP)] = (
-        warm_restart_metrics(
-            app=WARM_RESTART_APP,
-            target=target,
-            scale=scale,
-            max_sim_items=max_sim_items,
-        )["metrics"]
+        warm_restart_metrics(spec)["metrics"]
     )
     return out
 

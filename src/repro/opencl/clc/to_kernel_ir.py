@@ -115,7 +115,13 @@ class _ArrayInfo:
 class Translator:
     def __init__(self, ckernel):
         self.ckernel = ckernel
-        self.scalars = {}  # name -> ktype
+        # Live scalars: source name -> (IR name, ktype). A block or a
+        # for loop drops the names it declared when it ends.
+        self.scalars = {}
+        # Every declared name, plus the fresh IR names handed out to
+        # declarations that shadow a live variable.
+        self.taken = {p.name for p in ckernel.params}
+        self.taken |= _declared_names(ckernel.body)
         self.arrays = {}  # name -> _ArrayInfo
         self.params = []
         self.local_arrays = []
@@ -159,7 +165,28 @@ class Translator:
             self.arrays[param.name] = _ArrayInfo(space, ktype)
         else:
             self.params.append(K.KParam(param.name, ktype))
-            self.scalars[param.name] = ktype
+            self.scalars[param.name] = (param.name, ktype)
+
+    def _declare(self, name, ktype):
+        """Bring scalar ``name`` into scope and return its IR name: its
+        own, unless it shadows a live variable — then a fresh one, so
+        the inner variable never overwrites the outer."""
+        ir_name = name
+        if name in self.scalars:
+            suffix = 1
+            while "{}_{}".format(name, suffix) in self.taken:
+                suffix += 1
+            ir_name = "{}_{}".format(name, suffix)
+            self.taken.add(ir_name)
+        self.scalars[name] = (ir_name, ktype)
+        return ir_name
+
+    def _scoped(self, translate, stmt):
+        """``translate(stmt)``; the names it declares end with it."""
+        outer = dict(self.scalars)
+        result = translate(stmt)
+        self.scalars = outer
+        return result
 
     # -- statements -------------------------------------------------------------
 
@@ -173,7 +200,7 @@ class Translator:
 
     def _stmt(self, stmt):
         if isinstance(stmt, C.CBlock):
-            return self._block(stmt)
+            return self._scoped(self._block, stmt)
         if isinstance(stmt, C.CDecl):
             return self._decl(stmt)
         if isinstance(stmt, C.CExprStmt):
@@ -191,7 +218,7 @@ class Translator:
             otherwise = self._stmt(stmt.otherwise) or [] if stmt.otherwise else []
             return [K.KIf(cond, then, otherwise)]
         if isinstance(stmt, C.CFor):
-            return self._for(stmt)
+            return self._scoped(self._for, stmt)
         if isinstance(stmt, C.CWhile):
             cond = self._expr(stmt.cond)[0]
             return [K.KWhile(cond, self._stmt(stmt.body) or [])]
@@ -218,27 +245,27 @@ class Translator:
             )
             self.arrays[stmt.name] = _ArrayInfo(space, ktype)
             return []
-        self.scalars[stmt.name] = ktype
+        name = self._declare(stmt.name, ktype)
         init = None
         if stmt.init is not None:
             init, init_t = self._expr(stmt.init)
             if isinstance(ktype, K.KScalar) and isinstance(init_t, K.KScalar):
                 if init_t != ktype:
                     init = K.KCast(init, ktype)
-        return [K.KDecl(stmt.name, ktype, init)]
+        return [K.KDecl(name, ktype, init)]
 
     def _assign(self, stmt):
         target = stmt.target
         if isinstance(target, C.CIdent):
-            ktype = self.scalars.get(target.name)
-            if ktype is None:
+            if target.name not in self.scalars:
                 raise CompileError(
                     "assignment to undeclared '{}'".format(target.name)
                 )
+            name, ktype = self.scalars[target.name]
             value, _ = self._expr(stmt.value)
             if stmt.op is not None:
-                value = K.KBin(stmt.op, K.KVar(target.name, ktype), value, ktype)
-            return [K.KAssign(target.name, value)]
+                value = K.KBin(stmt.op, K.KVar(name, ktype), value, ktype)
+            return [K.KAssign(name, value)]
         if isinstance(target, C.CIndex):
             base, index, info = self._index_parts(target)
             value, _ = self._expr(stmt.value)
@@ -266,13 +293,12 @@ class Translator:
             and stmt.update.target.name == init.name
             and stmt.update.op == "+"
         ):
-            ktype = parse_type(init.type_name)
-            self.scalars[init.name] = ktype
+            var = self._declare(init.name, parse_type(init.type_name))
             lo, _ = self._expr(init.init)
             hi, _ = self._expr(stmt.cond.right)
             step, _ = self._expr(stmt.update.value)
             body = self._stmt(stmt.body) or []
-            out.append(K.KFor(init.name, lo, hi, step, body))
+            out.append(K.KFor(var, lo, hi, step, body))
             return out
         # General form: init; while (cond) { body; update; }.
         if stmt.init is not None:
@@ -306,10 +332,10 @@ class Translator:
                 return K.KConst(expr.value, K.K_DOUBLE), K.K_DOUBLE
             return K.KConst(expr.value, K.K_INT), K.K_INT
         if isinstance(expr, C.CIdent):
-            ktype = self.scalars.get(expr.name)
-            if ktype is None:
+            if expr.name not in self.scalars:
                 raise CompileError("unknown identifier '{}'".format(expr.name))
-            return K.KVar(expr.name, ktype), ktype
+            name, ktype = self.scalars[expr.name]
+            return K.KVar(name, ktype), ktype
         if isinstance(expr, C.CUn):
             operand, ktype = self._expr(expr.operand)
             if expr.op == "!":
@@ -442,6 +468,22 @@ class Translator:
         raise CompileError(
             "image coordinates must be literal (int2)(x, 0) expressions"
         )
+
+
+def _declared_names(stmt):
+    """Every name a declaration anywhere in C statement ``stmt`` binds."""
+    if isinstance(stmt, C.CDecl):
+        return {stmt.name}
+    if isinstance(stmt, C.CBlock):
+        children = stmt.stmts
+    else:
+        children = [
+            getattr(stmt, part, None)
+            for part in ("then", "otherwise", "init", "update", "body")
+        ]
+    return set().union(
+        *(_declared_names(child) for child in children if child is not None)
+    )
 
 
 def _contains_continue(stmts):

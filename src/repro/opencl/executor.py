@@ -1778,7 +1778,7 @@ class CompiledKernel:
         local_size,
         injector=None,
         guard=None,
-        tier=None,
+        tier="auto",
         tracer=None,
         index_base=0,
         device=None,
@@ -1805,8 +1805,7 @@ class CompiledKernel:
                 the memory trace is scanned for data races post-launch.
                 Trips raise :class:`repro.errors.SanitizerFault`
                 subclasses. Guarded launches always run per-item.
-            tier: execution-tier request ("auto"/"batch"/"per-item");
-                None consults ``REPRO_EXEC_TIER`` and defaults to auto.
+            tier: execution-tier request ("auto"/"batch"/"per-item").
                 Ineligible kernels fall back per-item either way; the
                 tier that actually ran is recorded in ``trace.tier``.
             tracer: optional :class:`repro.runtime.tracing.Tracer`; the
@@ -1891,8 +1890,7 @@ class CompiledKernel:
         if index_base:
             span_args["index_base"] = index_base
 
-        resolved_tier = resolve_exec_tier(tier)
-        if guard is None and index_base == 0 and resolved_tier in ("auto", "batch"):
+        if guard is None and index_base == 0 and tier in ("auto", "batch"):
             batch_fn = self._batch_callable()
             if batch_fn is not None:
                 span_args["tier"] = "batch"

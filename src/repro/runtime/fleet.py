@@ -450,7 +450,9 @@ class FleetWorker:
         # observed median launch (falling back to the fleet median)
         # plus re-transferring the already-marshalled payload.
         est = self.monitor.devices[cand].median_ns() or hist.quantile(0.5)
-        est += self.filters[cand].comm.transfer_ns(record.payload_bytes)
+        est += self.filters[cand].options.comm.transfer_ns(
+            record.payload_bytes
+        )
         won = (start_h + est) < (start_ns + attempt_ns)
         return {
             "key": cand,

@@ -508,46 +508,39 @@ class HealthMonitor:
         """A stream item completed on ``key`` with ``kernel_ns`` of
         simulated kernel time."""
         with self._lock:
-            self._observe_success(key, kernel_ns)
-
-    def _observe_success(self, key, kernel_ns):
-        h = self.devices[key]
-        probing = h.probing
-        if probing:
-            # Judge the probe on its own launch time, not the stale
-            # pre-demotion window.
-            h.probing = False
-            if self._is_slow(kernel_ns, exclude=key):
-                self._probe_failed(h, "slow")
-                h.observe(kernel_ns)
+            h = self.devices[key]
+            if h.probing:
+                # Judge the probe on its own launch time, not the stale
+                # pre-demotion window.
+                h.probing = False
+                if self._is_slow(kernel_ns, exclude=key):
+                    self._probe_failed(h, "slow")
+                    h.observe(kernel_ns)
+                    return
+                self._promote(h, kernel_ns)
                 return
-            self._promote(h, kernel_ns)
-            return
-        h.breaker.record_success()
-        h.observe(kernel_ns)
-        self.metrics.gauge("fleet.score.{}".format(key)).set(h.median_ns())
-        if (
-            h.healthy
-            and len(h.samples) >= self.policy.min_samples
-            and self._is_slow(h.median_ns(), exclude=key)
-        ):
-            self._demote(h, "slow")
+            h.breaker.record_success()
+            h.observe(kernel_ns)
+            self.metrics.gauge("fleet.score.{}".format(key)).set(h.median_ns())
+            if (
+                h.healthy
+                and len(h.samples) >= self.policy.min_samples
+                and self._is_slow(h.median_ns(), exclude=key)
+            ):
+                self._demote(h, "slow")
 
     def observe_fault(self, key, stage=None):
         """A device-side fault on ``key`` (any stage)."""
         with self._lock:
-            self._observe_fault(key, stage)
-
-    def _observe_fault(self, key, stage=None):
-        h = self.devices[key]
-        h.faults += 1
-        tripped = h.breaker.record_fault()
-        if h.probing:
-            h.probing = False
-            self._probe_failed(h, stage or "faults")
-            return
-        if h.healthy and tripped:
-            self._demote(h, "faults")
+            h = self.devices[key]
+            h.faults += 1
+            tripped = h.breaker.record_fault()
+            if h.probing:
+                h.probing = False
+                self._probe_failed(h, stage or "faults")
+                return
+            if h.healthy and tripped:
+                self._demote(h, "faults")
 
     # -- state transitions ---------------------------------------------------
 
@@ -590,8 +583,7 @@ class HealthMonitor:
         workload as its probe), then healthy devices — unexplored before
         scored, fastest median first — then the remaining demoted
         devices as failover targets of last resort."""
-        with self._lock:
-            return [key for key, _kind, _est in self._placement_plan()]
+        return [key for key, _kind, _est in self.placement_plan()]
 
     def placement_plan(self):
         """Like :meth:`placement_order` but annotated for the fleet's
@@ -602,53 +594,48 @@ class HealthMonitor:
         unscored). Mutates the same probe/cooloff state as
         :meth:`placement_order` — one call per stream item."""
         with self._lock:
-            return self._placement_plan()
-
-    def _placement_order(self):
-        return [key for key, _kind, _est in self._placement_plan()]
-
-    def _placement_plan(self):
-        seq = self._seq
-        self._seq += 1
-        healthy = [h for h in self.devices.values() if h.healthy]
-        demoted = [h for h in self.devices.values() if not h.healthy]
-        for h in demoted:
-            if not h.probing and healthy:
-                h.idle += 1
-                if h.idle >= self.policy.cooloff:
-                    h.probing = True
-                    h.idle = 0
-        probes = [h for h in demoted if h.probing]
-        benched = sorted(
-            (h for h in demoted if not h.probing), key=lambda h: h.index
-        )
-        if self.policy.policy == "round-robin":
-            ring = sorted(healthy, key=lambda h: h.index)
-            if ring:
-                rot = seq % len(ring)
-                ranked = ring[rot:] + ring[:rot]
+            seq = self._seq
+            self._seq += 1
+            healthy = [h for h in self.devices.values() if h.healthy]
+            demoted = [h for h in self.devices.values() if not h.healthy]
+            for h in demoted:
+                if not h.probing and healthy:
+                    h.idle += 1
+                    if h.idle >= self.policy.cooloff:
+                        h.probing = True
+                        h.idle = 0
+            probes = [h for h in demoted if h.probing]
+            benched = sorted(
+                (h for h in demoted if not h.probing), key=lambda h: h.index
+            )
+            if self.policy.policy == "round-robin":
+                ring = sorted(healthy, key=lambda h: h.index)
+                if ring:
+                    rot = seq % len(ring)
+                    ranked = ring[rot:] + ring[:rot]
+                else:
+                    ranked = []
             else:
-                ranked = []
-        else:
-            fresh = sorted(
-                (h for h in healthy if len(h.samples) < self.policy.min_samples),
-                key=lambda h: (len(h.samples), h.index),
-            )
-            scored = sorted(
-                (h for h in healthy if len(h.samples) >= self.policy.min_samples),
-                key=lambda h: (h.median_ns(), h.index),
-            )
-            ranked = fresh + scored
-        plan = []
-        for h in probes[:1]:
-            plan.append((h.key, "probe", h.median_ns()))
-        for h in ranked:
-            plan.append((h.key, "healthy", h.median_ns()))
-        for h in probes[1:]:
-            plan.append((h.key, "probe", h.median_ns()))
-        for h in benched:
-            plan.append((h.key, "benched", h.median_ns()))
-        return plan
+                least = self.policy.min_samples
+                fresh = sorted(
+                    (h for h in healthy if len(h.samples) < least),
+                    key=lambda h: (len(h.samples), h.index),
+                )
+                scored = sorted(
+                    (h for h in healthy if len(h.samples) >= least),
+                    key=lambda h: (h.median_ns(), h.index),
+                )
+                ranked = fresh + scored
+            plan = []
+            for h in probes[:1]:
+                plan.append((h.key, "probe", h.median_ns()))
+            for h in ranked:
+                plan.append((h.key, "healthy", h.median_ns()))
+            for h in probes[1:]:
+                plan.append((h.key, "probe", h.median_ns()))
+            for h in benched:
+                plan.append((h.key, "benched", h.median_ns()))
+            return plan
 
     def snapshot(self):
         """JSON-able per-device health summary for RunResult / the CLI.
@@ -658,21 +645,18 @@ class HealthMonitor:
         fleets over the same device set in different order would
         otherwise render different bytes)."""
         with self._lock:
-            return self._snapshot()
-
-    def _snapshot(self):
-        return {
-            key: {
-                "state": h.state,
-                "reason": h.reason,
-                "launches": h.launches,
-                "faults": h.faults,
-                "demotions": h.demotions,
-                "promotions": h.promotions,
-                "median_launch_ns": h.median_ns(),
+            return {
+                key: {
+                    "state": h.state,
+                    "reason": h.reason,
+                    "launches": h.launches,
+                    "faults": h.faults,
+                    "demotions": h.demotions,
+                    "promotions": h.promotions,
+                    "median_launch_ns": h.median_ns(),
+                }
+                for key, h in sorted(self.devices.items())
             }
-            for key, h in sorted(self.devices.items())
-        }
 
     def replay(self, events):
         """Journal replay: re-apply a recorded placement/observation
@@ -689,16 +673,16 @@ class HealthMonitor:
                 for ev in events:
                     kind = ev[0]
                     if kind == "order":
-                        self._placement_order()
+                        self.placement_plan()
                     elif kind == "success":
-                        self._observe_success(ev[1], ev[2])
+                        self.observe_success(ev[1], ev[2])
                     elif kind == "vote":
                         # A redundant voting replica is a real, clean
                         # launch: its sample scores the device exactly
                         # like a primary success.
-                        self._observe_success(ev[1], ev[2])
+                        self.observe_success(ev[1], ev[2])
                     elif kind == "fault":
-                        self._observe_fault(
+                        self.observe_fault(
                             ev[1], ev[2] if len(ev) > 2 else None
                         )
             finally:

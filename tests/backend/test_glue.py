@@ -4,24 +4,30 @@ import numpy as np
 import pytest
 
 from repro.backend import glue
-from repro.compiler.pipeline import compile_filter
+from repro.compiler.options import OptimizationConfig
+from repro.compiler.pipeline import OffloadOptions, compile_filter
 from repro.errors import RuntimeFault
 from repro.frontend import check_program, parse_program
 from repro.opencl import get_device
+from repro.opencl.executor import EXEC_TIER_ENV
 from repro.runtime.profiler import ExecutionProfile
 
 from tests.conftest import SAXPY_SOURCE
 
 
-@pytest.fixture
-def saxpy_filter():
+def _saxpy(**fields):
     checked = check_program(parse_program(SAXPY_SOURCE))
     return compile_filter(
         checked,
         checked.lookup_method("Saxpy", "apply"),
         device=get_device("gtx580"),
-        local_size=8,
+        **fields,
     )
+
+
+@pytest.fixture
+def saxpy_filter():
+    return _saxpy(local_size=8)
 
 
 def test_every_invocation_records_stages(saxpy_filter):
@@ -51,8 +57,11 @@ def test_result_is_frozen_value_array(saxpy_filter):
     assert not out.flags.writeable
 
 
-def test_launch_config_respects_cap(saxpy_filter, monkeypatch):
+def test_launch_config_respects_cap(monkeypatch):
+    # The cap is resolved when the filter is built, so patch first.
+    monkeypatch.delenv(glue.MAX_SIM_ITEMS_ENV, raising=False)
     monkeypatch.setattr(glue, "MAX_SIMULATED_ITEMS", 8)
+    saxpy_filter = _saxpy(local_size=8)
     global_size, local = saxpy_filter._launch_config(1000)
     assert global_size == 8
     # Results stay correct because of the strided loop.
@@ -147,10 +156,12 @@ def test_resolve_max_sim_items_rejects_garbage(monkeypatch):
         glue.resolve_max_sim_items()
 
 
-def test_env_cap_applies_at_launch_time(saxpy_filter, monkeypatch):
+def test_env_cap_is_read_once_when_the_filter_is_built(monkeypatch):
     monkeypatch.setenv(glue.MAX_SIM_ITEMS_ENV, "8")
-    global_size, _local = saxpy_filter._launch_config(1000)
-    assert global_size == 8
+    saxpy_filter = _saxpy(local_size=8)
+    assert saxpy_filter._launch_config(1000) == (8, 8)
+    monkeypatch.setenv(glue.MAX_SIM_ITEMS_ENV, "512")
+    assert saxpy_filter._launch_config(1000) == (8, 8)
     xs = np.arange(20, dtype=np.float32)
     xs.setflags(write=False)
     assert np.allclose(saxpy_filter(xs), 2.5 * xs + 1.0)
@@ -168,3 +179,38 @@ def test_explicit_cap_wins_over_env(monkeypatch):
     )
     global_size, _local = cf._launch_config(1000)
     assert global_size == 16
+
+
+def test_options_keyword_replaces_one_field():
+    options = OffloadOptions(
+        config=OptimizationConfig(use_local=False),
+        overlap=True,
+        max_sim_items=64,
+        exec_tier="per-item",
+    )
+    cf = _saxpy(options=options, local_size=8)
+    assert cf.options == OffloadOptions(
+        config=OptimizationConfig(use_local=False),
+        local_size=8,
+        overlap=True,
+        max_sim_items=64,
+        exec_tier="per-item",
+    )
+    assert cf.local_size == 8
+
+
+def test_options_defaults_fill_none(monkeypatch):
+    monkeypatch.delenv(glue.MAX_SIM_ITEMS_ENV, raising=False)
+    monkeypatch.delenv(EXEC_TIER_ENV, raising=False)
+    options = OffloadOptions(config=None)
+    assert options == OffloadOptions()
+    assert options.config == OptimizationConfig()
+    assert options.max_sim_items == glue.MAX_SIMULATED_ITEMS
+    assert options.exec_tier == "auto"
+
+
+def test_unknown_option_is_a_type_error():
+    with pytest.raises(TypeError):
+        OffloadOptions(max_items=8)
+    with pytest.raises(TypeError):
+        _saxpy(max_items=8)

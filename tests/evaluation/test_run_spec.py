@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main, run_spec
 from repro.compiler.options import OptimizationConfig
+from repro.compiler.pipeline import OffloadOptions
 from repro.errors import LaunchFault
 from repro.evaluation.harness import (
     FaultFlags,
@@ -241,3 +242,21 @@ def test_keyword_calls_match_spec_calls(kwargs):
     assert by_spec.checksum == by_keywords.checksum
     assert by_spec.total_ns == by_keywords.total_ns
     assert by_spec.target == by_keywords.target
+
+
+@pytest.mark.parametrize("devices", [None, ("gtx580", "hd5970")])
+def test_offloader_options_come_from_the_spec(devices):
+    spec = dataclasses.replace(
+        BASE,
+        devices=devices,
+        config=VARIANTS["config"],
+        max_sim_items=64,
+        exec_tier="batch",
+        sanitizer=VARIANTS["sanitizer"],
+    )
+    assert spec.offloader().options == OffloadOptions(
+        config=spec.config,
+        max_sim_items=64,
+        sanitizer=spec.sanitizer,
+        exec_tier="batch",
+    )

@@ -12,20 +12,27 @@ tiling. These tests pin down both sides of that contract:
   bounds faults still fire when the caller asked for ``batch``;
 - tier resolution: explicit argument beats the ``REPRO_EXEC_TIER``
   environment variable beats ``auto``; unknown names are structured
-  errors.
+  errors. An offloader reads the variable once, when it is built; a
+  bare launch runs ``auto``.
 """
 
 import numpy as np
 import pytest
 
+from repro.compiler.pipeline import Offloader
 from repro.errors import BoundsFault, DeviceError
+from repro.frontend import check_program, parse_program
+from repro.opencl import get_device
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.executor import (
     EXEC_TIER_ENV,
     compile_kernel,
     resolve_exec_tier,
 )
+from repro.runtime.profiler import ExecutionProfile
 from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
+
+from tests.conftest import SAXPY_SOURCE
 
 ELIGIBLE = """
 __kernel void saxpy(__global float* out, __global const float* x,
@@ -350,6 +357,24 @@ def test_declining_kernel_names_its_reason_and_runs_per_item(reason, source):
         assert np.array_equal(buf, outputs["auto"][name]), name
 
 
+def test_shadowing_declaration_is_its_own_variable():
+    # C scoping: the first loop's `float t` is a variable of its own,
+    # so the outer `t` still holds x[i] when the second loop adds to it.
+    (source,) = [
+        param.values[1]
+        for param in DECLINES
+        if param.id == "cross-iteration-after-shadowing"
+    ]
+    ck = _compile(source, "k")
+    for guard in (None, LaunchGuard(SanitizerConfig(), "k")):
+        buffers = {
+            "y": np.zeros(32, dtype=np.float32),
+            "x": np.arange(32, dtype=np.float32),
+        }
+        ck.launch(buffers, {"n": 20}, 8, 8, guard=guard, tier="per-item")
+        assert buffers["y"][:8].tolist() == [24, 28, 32, 36, 20, 23, 26, 29]
+
+
 # -- fallback semantics --------------------------------------------------
 
 
@@ -454,10 +479,44 @@ def test_resolve_unknown_tier_raises(monkeypatch):
         resolve_exec_tier(None)
 
 
-def test_env_var_drives_launch_tier(monkeypatch):
+def _offloaded_launch_tiers(offloader, monkeypatch):
+    """The tiers one Saxpy item runs under ``offloader``, launched after
+    the environment asks for ``batch``."""
+    checked = check_program(parse_program(SAXPY_SOURCE))
+    profile = ExecutionProfile()
+    cf = offloader.compile_filter(
+        checked, checked.lookup_method("Saxpy", "apply"), profile
+    )
+    monkeypatch.setenv(EXEC_TIER_ENV, "batch")
+    xs = np.arange(8, dtype=np.float32)
+    xs.setflags(write=False)
+    cf(xs)
+    return {
+        key: value
+        for key, value in profile.metrics.as_dict().items()
+        if key.startswith("executor.launches.")
+    }
+
+
+def test_env_var_drives_offloader_tier(monkeypatch):
+    monkeypatch.setenv(EXEC_TIER_ENV, "per-item")
+    offloader = Offloader(get_device("gtx580"))
+    assert offloader.options.exec_tier == "per-item"
+    assert _offloaded_launch_tiers(offloader, monkeypatch) == {
+        "executor.launches.per-item": 1
+    }
+
+
+def test_explicit_offloader_tier_beats_env_var(monkeypatch):
+    monkeypatch.setenv(EXEC_TIER_ENV, "per-item")
+    offloader = Offloader(get_device("gtx580"), exec_tier="batch")
+    assert _offloaded_launch_tiers(offloader, monkeypatch) == {
+        "executor.launches.batch": 1
+    }
+
+
+def test_bare_launch_runs_auto_whatever_the_env_var(monkeypatch):
+    monkeypatch.setenv(EXEC_TIER_ENV, "per-item")
     ck = _compile(ELIGIBLE, "saxpy")
     buffers, scalars = _saxpy_buffers()
-    monkeypatch.setenv(EXEC_TIER_ENV, "per-item")
-    assert ck.launch(buffers, scalars, 8, 4).tier == "per-item"
-    monkeypatch.setenv(EXEC_TIER_ENV, "batch")
     assert ck.launch(buffers, scalars, 8, 4).tier == "batch"
