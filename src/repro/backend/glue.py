@@ -689,6 +689,7 @@ class CompiledFilter:
             tracer=self.profile.tracer,
             index_base=index_base,
             device=self.device_key,
+            model=self.device,
         )
         self.last_timing = self._account_launch(
             trace, len(buffers), stages, sink, index_base
@@ -874,6 +875,7 @@ class CompiledFilter:
             tier=self.options.exec_tier,
             tracer=self.profile.tracer,
             device=self.device_key,
+            model=self.device,
         )
         self._account_launch(trace, 2, stages, sink)
         op = self.reduce_op

@@ -76,6 +76,7 @@ def capture_launches():
         tracer=None,
         index_base=0,
         device=None,
+        model=None,
     ):
         rec = captured.setdefault(
             self.kernel.name, {"kernel": self, "launches": []}
@@ -100,6 +101,7 @@ def capture_launches():
             tracer=tracer,
             index_base=index_base,
             device=device,
+            model=model,
         )
 
     ex.CompiledKernel.launch = recording
@@ -223,7 +225,9 @@ def warm_restart_metrics(spec, app=WARM_RESTART_APP):
     would, resume, and report the resumed run's integer counters. The
     interesting ones: ``journal.items_skipped`` (every item served from
     the WAL) and ``cache.disk_hits`` with ``cache.misses`` absent —
-    zero recompiles.
+    zero recompiles. The cold run starts from an empty in-memory cache
+    too, so it stores every kernel even when this process compiled
+    the app before.
     """
     from repro.opencl import kernel_cache as kc
 
@@ -233,6 +237,7 @@ def warm_restart_metrics(spec, app=WARM_RESTART_APP):
         journal_dir = os.path.join(tmp, "journal")
         kc.configure_disk_store(os.path.join(tmp, "kernels"))
         try:
+            kc.reset_global_cache()
             cold = run_configuration(bench, spec, journal=journal_dir)
             kc.reset_global_cache()
             warm = run_configuration(

@@ -225,6 +225,7 @@ class CommandQueue:
             local_size,
             injector=self.injector,
             device=self.device_key,
+            model=device,
         )
         timing = time_launch(trace, device)
         self.last_timing = timing

@@ -82,7 +82,7 @@ def resolve_exec_tier(explicit=None):
 # Bump when CompiledKernel.artifact()'s shape or the generated sources
 # change: a mismatched on-disk kernel artifact is treated as a cache
 # miss, never deserialized.
-DISK_ARTIFACT_VERSION = 6
+DISK_ARTIFACT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,12 @@ class SiteTrace:
         accessed element ``indices[i]`` (``indices`` may be a scalar,
         broadcast across ``count`` lanes)."""
         lanes = np.asarray(lanes, dtype=np.int64)
-        n = len(lanes) if count is None else count
-        idx = np.broadcast_to(np.asarray(indices, dtype=np.int64), (n,))
-        self.blocks.append((lanes, idx))
+        if isinstance(indices, np.ndarray) and indices.ndim:
+            indices = indices.astype(np.int64, copy=False)
+        else:
+            n = len(lanes) if count is None else count
+            indices = np.full(n, indices, dtype=np.int64)
+        self.blocks.append((lanes, indices))
 
     @property
     def accesses(self):
@@ -174,6 +177,10 @@ class LaunchTrace:
         # kernel's timing memo, which answers a shape timed before.
         self.shape = None
         self.memo = None
+        # An untraced launch, a memo hit, carries the memo's timing and
+        # the DeviceModel it was looked up for, and records no sites.
+        self.timing = None
+        self.model = None
 
     @property
     def work_groups(self):
@@ -355,8 +362,16 @@ class _Codegen:
     With ``sanitize=True`` the emitted code additionally calls a
     per-site checker ``_ck<site>(index[, value])`` *before* every memory
     access and a watchdog tick ``_wd()`` at the top of every loop
-    iteration. The op-count segments and access sites are identical in
-    both modes, so instrumented launches report the same profile.
+    iteration. With ``traced=False`` it records nothing: no trace
+    appends, no segment counter bumps, and neither ``_segc`` nor the
+    ``_tl``/``_ti`` appenders among its parameters; a launch whose
+    timing the memo already holds runs it. The op-count segments and
+    access sites are identical in every mode, so instrumented launches
+    report the same profile.
+
+    A per-item vector value is a Python list, so a loaded vector holds
+    its values as in C; arithmetic on vectors runs on NumPy arrays of
+    the operand's type and converts its result back.
 
     This is the one traversal behind every tier: :class:`_BatchCodegen`
     inherits it and overrides only the batch tier's spellings.
@@ -369,13 +384,17 @@ class _Codegen:
     AND = "(({}) and ({}))"
     OR = "(({}) or ({}))"
     FDIV = "(({}) / ({}))"
-    VEXT = "({}.item({}))"
-    VBUILD = "np.array([{0}], dtype={1})"  # ({2}: lane count, batch only)
+    VEXT = "({}[{}])"
+    VBUILD = "np.array([{0}], dtype={1}).tolist()"  # ({2}: lane count, batch only)
+    VZERO = "[{0}] * {1}"  # ({2}: the NumPy dtype, batch only)
+    VOPERAND = "np.array({0}, dtype={1})"
+    VRESULT = "({}).tolist()"
     PRIVATE_SHAPE = "{}"
 
-    def __init__(self, kernel, sanitize=False):
+    def __init__(self, kernel, sanitize=False, traced=True):
         self.kernel = kernel
         self.sanitize = sanitize
+        self.traced = traced
         self.lines = []
         self.indent = 1
         self.temp = 0
@@ -406,11 +425,12 @@ class _Codegen:
 
     def _segment(self):
         """Current op-count accumulator; opens a new segment (with its
-        counter bump emitted) when none is active."""
+        counter bump emitted, when traced) when none is active."""
         if self.current_segment is None:
-            self.emit(
-                "_segc[{}] += {}".format(len(self.segments), self._lane_count())
-            )
+            if self.traced:
+                self.emit(
+                    "_segc[{}] += {}".format(len(self.segments), self._lane_count())
+                )
             self.current_segment = dict.fromkeys(_OP_KINDS, 0)
             self.segments.append(self.current_segment)
         return self.current_segment
@@ -451,18 +471,9 @@ class _Codegen:
         if isinstance(e, K.KVar):
             return self._var(e.name)
         if isinstance(e, K.KUn):
-            self.charge(e)
-            operand = self.expr(e.operand)
-            if e.op == "!":
-                return self.NOT.format(operand)
-            if e.op == "~" or (e.op == "-" and _is_int(e.ktype)):
-                # Integer negation and complement wrap like _binary.
-                return "({})".format(
-                    self._wrap(e.ktype, "{}({})".format(e.op, operand))
-                )
-            return "({}{})".format(e.op, operand)
+            return self._vector(e, self._unary(e))
         if isinstance(e, K.KBin):
-            return self._binary(e)
+            return self._vector(e, self._binary(e))
         if isinstance(e, K.KSelect):
             self.charge(e)
             return self._select(e)
@@ -472,7 +483,7 @@ class _Codegen:
                 return _CASTS[e.ktype.kind][self.TIER].format(inner)
             return inner
         if isinstance(e, K.KCall):
-            return self._call(e)
+            return self._vector(e, self._call(e))
         if isinstance(e, (K.KLoad, K.KImageLoad)):
             return self._load(e)
         if isinstance(e, K.KVecExtract):
@@ -503,10 +514,36 @@ class _Codegen:
             self._lazy(e.then), self.expr(e.cond), self._lazy(e.otherwise)
         )
 
+    def _operand(self, e, value):
+        """``value``, the code of ``e``, as an operand of arithmetic: a
+        per-item vector as a NumPy array of its type."""
+        if isinstance(e.ktype, K.KVector):
+            return self.VOPERAND.format(value, _np_dtype(e.ktype))
+        return value
+
+    def _vector(self, e, value):
+        """The result of arithmetic: a per-item vector back as a list."""
+        if isinstance(e.ktype, K.KVector):
+            return self.VRESULT.format(value)
+        return value
+
+    def _unary(self, e):
+        self.charge(e)
+        operand = self._operand(e.operand, self.expr(e.operand))
+        if e.op == "!":
+            return self.NOT.format(operand)
+        if e.op == "~" or (e.op == "-" and _is_int(e.ktype)):
+            # Integer negation and complement wrap like _binary.
+            return "({})".format(self._wrap(e.ktype, "{}({})".format(e.op, operand)))
+        return "({}{})".format(e.op, operand)
+
     def _binary(self, e):
         self.charge(e)
-        left = self.expr(e.left)
-        right = self._lazy(e.right) if e.op in ("&&", "||") else self.expr(e.right)
+        left = self._operand(e.left, self.expr(e.left))
+        right = self._operand(
+            e.right,
+            self._lazy(e.right) if e.op in ("&&", "||") else self.expr(e.right),
+        )
         op = e.op
         is_long = _is_long(e.ktype)
         is_int = _is_int(e.ktype)
@@ -549,7 +586,8 @@ class _Codegen:
             return spelling.format(self.expr(e.args[0]))
         if e.name in _MATH:
             return "{}({})".format(
-                _MATH[e.name][self.TIER], ", ".join(self.expr(a) for a in e.args)
+                _MATH[e.name][self.TIER],
+                ", ".join(self._operand(a, self.expr(a)) for a in e.args),
             )
         raise DeviceError("unknown device builtin '{}'".format(e.name))
 
@@ -572,7 +610,8 @@ class _Codegen:
 
     def _trace(self, site, index):
         # Two bound ``list.append`` calls: no per-access tuple.
-        self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, index))
+        if self.traced:
+            self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, index))
 
     def _load(self, e):
         """A buffer load, or an image read: a 4-wide load at ``coord``."""
@@ -598,7 +637,8 @@ class _Codegen:
 
     def _load_form(self, e, array, index):
         if isinstance(e.ktype, K.KVector):
-            return _slice(array, index, e.ktype.width)
+            # A copy, as in C: a later store to the array leaves it be.
+            return _slice(array, index, e.ktype.width) + ".tolist()"
         # A memoryview read gives the Python scalar ``arr.item(i)``
         # gives, without a method call.
         self.views.add(array)
@@ -609,7 +649,14 @@ class _Codegen:
     def stmt(self, s):
         self._check_node(s)
         if isinstance(s, K.KDecl):
-            init = self.expr(s.init) if s.init is not None else _zero(s.ktype)
+            if s.init is not None:
+                init = self.expr(s.init)
+            elif isinstance(s.ktype, K.KVector):
+                init = self.VZERO.format(
+                    _zero(s.ktype.base), s.ktype.width, _np_dtype(s.ktype)
+                )
+            else:
+                init = _zero(s.ktype)
             self._declare(s.name)
             init = self._materialize(s.name, init, s.ktype)
             self.emit("{} = {}".format(_pyname(s.name), init))
@@ -633,6 +680,7 @@ class _Codegen:
             self.close_segment()
             self.emit("while {}:".format(self.expr(s.cond)))
             self.indent += 1
+            start = len(self.lines)
             if self.sanitize:
                 self.emit("_wd()")
             self._iteration(induction=0)
@@ -640,6 +688,7 @@ class _Codegen:
             for child in s.body:
                 self.stmt(child)
             self.loop_stack.pop()
+            self._pass_if_empty(start)
             self.indent -= 1
             self.close_segment()
         elif isinstance(s, K.KBarrier):
@@ -675,12 +724,19 @@ class _Codegen:
     def _block(self, stmts):
         self.indent += 1
         self.close_segment()
-        if not stmts:
-            self.emit("pass")
+        start = len(self.lines)
         for child in stmts:
             self.stmt(child)
+        self._pass_if_empty(start)
         self.indent -= 1
         self.close_segment()
+
+    def _pass_if_empty(self, start):
+        """Close a body that emitted no statement since ``start`` (an
+        empty one, or an untraced loop body whose only statement was
+        its counter bump) with ``pass``."""
+        if all(line.lstrip().startswith("#") for line in self.lines[start:]):
+            self.emit("pass")
 
     def _loop_bounds(self, s, start):
         """Emit ``start`` formatted with the loop's lower bound, then
@@ -786,15 +842,19 @@ class _Codegen:
             self.emit("if False:")
             self.emit("    yield 0")
         params = (
-            ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp", "_segc"]
+            ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp"]
+            + (["_segc"] if self.traced else [])
             + args
             + [
                 _bufname(a.name, a.space)
                 for a in self.kernel.arrays
                 if a.space is K.Space.LOCAL
             ]
-            + ["_t{}{}".format(k, site) for site in sorted(self.sites) for k in "li"]
         )
+        if self.traced:
+            params += [
+                "_t{}{}".format(k, site) for site in sorted(self.sites) for k in "li"
+            ]
         if self.sanitize:
             params += ["_wd"] + [
                 "_ck{}".format(site) for site in sorted(self.sites)
@@ -849,8 +909,7 @@ def _np_dtype(ktype):
 
 
 def _zero(ktype):
-    if isinstance(ktype, K.KVector):
-        return "np.zeros({}, dtype={})".format(ktype.width, _np_dtype(ktype))
+    """The zero of a scalar type."""
     if ktype.is_float:
         return "0.0"
     if ktype.kind == "bool":
@@ -1057,6 +1116,9 @@ class _BatchCodegen(_Codegen):
     FDIV = "_vfdiv({}, {})"
     VEXT = "_vext({}, {})"
     VBUILD = "_vbuild([{0}], {1}, {2})"
+    VZERO = "np.zeros({1}, dtype={2})"
+    VOPERAND = "{0}"  # vectors are NumPy arrays already
+    VRESULT = "{}"
     PRIVATE_SHAPE = "({}, _gsz)"  # per-lane private storage: a column each
     LANE_IDS = {"get_global_id": "_G", "get_local_id": "_L", "get_group_id": "_R"}
 
@@ -1636,10 +1698,12 @@ def _exec_source(source, label, function):
     return namespace[function]
 
 
-def _generate(kernel):
+def _generate(kernel, fixed):
     """Codegen for a site-assigned kernel: the stored fields of a
     :class:`CompiledKernel`. The batch source is None when the kernel
-    declines the batch tier, and ``batch_reason`` says why."""
+    declines the batch tier, and ``batch_reason`` says why. A per-item
+    kernel whose trace is ``fixed`` by its launch shape also gets an
+    untraced source, which answers the launches the memo has timed."""
     source, segments, sites = _Codegen(kernel).generate()
     _count_codegen()
     try:
@@ -1654,6 +1718,16 @@ def _generate(kernel):
     else:
         _count_codegen()
         batch_reason = ""
+    untraced_source = None
+    if batch_source is None and fixed:
+        untraced, untraced_segments, untraced_sites = _Codegen(
+            kernel, traced=False
+        ).generate()
+        _count_codegen()
+        # The same safety net: a hit answers with the traced launch's
+        # timing, so it must run the same segments and sites.
+        if (untraced_segments, untraced_sites) == (segments, sites):
+            untraced_source = untraced
     return {
         "source": source,
         "segments": segments,
@@ -1661,6 +1735,7 @@ def _generate(kernel):
         "sanitized_source": None,
         "batch_source": batch_source,
         "batch_reason": batch_reason,
+        "untraced_source": untraced_source,
     }
 
 
@@ -1684,7 +1759,10 @@ class CompiledKernel:
         disk = stored is not None
         if not disk:
             K.assign_sites(kernel)
-            stored = _generate(kernel)
+        # Cheap, so not stored: a disk-loaded kernel decides it too.
+        self.shape_fixed, self.shape_reason = shape_fixed(kernel)
+        if not disk:
+            stored = _generate(kernel, self.shape_fixed)
         self.kernel = kernel
         self.source = stored["source"]
         self.segments = stored["segments"]
@@ -1694,8 +1772,8 @@ class CompiledKernel:
         self.sanitized_source = stored["sanitized_source"]
         self.batch_source = stored["batch_source"]
         self.batch_reason = stored["batch_reason"]
-        # Cheap, so not stored: a disk-loaded kernel decides it too.
-        self.shape_fixed, self.shape_reason = shape_fixed(kernel)
+        # Runs the per-item launches whose timing the memo holds.
+        self.untraced_source = stored["untraced_source"]
         # (launch shape, DeviceModel) -> KernelTiming, filled by
         # timing.time_launch. Sessions sharing this kernel share it:
         # each lookup and store is one dict operation, so a race at
@@ -1724,6 +1802,7 @@ class CompiledKernel:
             "sanitized_source": self.sanitized_source,
             "batch_source": self.batch_source,
             "batch_reason": self.batch_reason,
+            "untraced_source": self.untraced_source,
         }
 
     @classmethod
@@ -1782,6 +1861,7 @@ class CompiledKernel:
         tracer=None,
         index_base=0,
         device=None,
+        model=None,
     ):
         """Execute the NDRange.
 
@@ -1826,6 +1906,11 @@ class CompiledKernel:
                 (per-device fault specs and the kill switch) and tagged
                 on the "device" span so the Chrome exporter can give
                 each fleet member its own track.
+            model: the :class:`repro.opencl.device.DeviceModel` the
+                caller will time this launch on, if known. An unguarded
+                per-item launch whose timing on ``model`` the memo
+                already holds runs the untraced item function: its
+                trace records no sites and carries that timing.
 
         Returns a :class:`LaunchTrace`.
         """
@@ -1841,17 +1926,6 @@ class CompiledKernel:
                 )
             )
         trace = LaunchTrace(kernel.name, global_size, local_size)
-        seg_counts = [0] * len(self.segments)
-        site_traces = {
-            site: SiteTrace(space, elem_bytes, width, is_store, array)
-            for site, (
-                space,
-                elem_bytes,
-                width,
-                is_store,
-                array,
-            ) in self.site_meta.items()
-        }
 
         buffer_args = []
         for param in kernel.params:
@@ -1898,8 +1972,6 @@ class CompiledKernel:
                     return self._launch_batch(
                         batch_fn,
                         trace,
-                        seg_counts,
-                        site_traces,
                         buffer_args,
                         scalar_args,
                         global_size,
@@ -1908,26 +1980,35 @@ class CompiledKernel:
 
         local_specs = [a for a in kernel.arrays if a.space is K.Space.LOCAL]
         n_groups = global_size // local_size
-        sorted_sites = sorted(site_traces)
 
-        # Each site's two bound appends, shared across the launch: one
-        # takes the global id, the other the element index.
-        appenders = []
-        for site in sorted_sites:
-            tr = site_traces[site]
-            appenders += [tr.lanes.append, tr.indices.append]
-
-        # Guarded launches run the instrumented item code with one
-        # checker per site plus the watchdog tick.
-        guard_args = []
-        if guard is not None:
-            trace.tier = "sanitized"
-            item_fn = self._sanitized_item()
-            guard_args = [guard.tick] + self._make_checkers(
-                guard, sorted_sites, buffers, local_size
-            )
+        if guard is None and model is not None and self.untraced_source is not None:
+            # One dict read, so a concurrent memo clear cannot lose it.
+            trace.timing = self.timings.get((trace.shape, model))
+        if trace.timing is not None:
+            # A memo hit: the untraced item function records nothing.
+            trace.model = model
+            item_fn = self._function(":untraced", self.untraced_source, "_item")
+            lead, tail = buffer_args + scalar_args, []
         else:
-            item_fn = self._item()
+            seg_counts, site_traces = self._records()
+            sorted_sites = sorted(site_traces)
+            # Each site's two bound appends, shared across the launch:
+            # one takes the global id, the other the element index.
+            tail = []
+            for site in sorted_sites:
+                tr = site_traces[site]
+                tail += [tr.lanes.append, tr.indices.append]
+            # Guarded launches run the instrumented item code with one
+            # checker per site plus the watchdog tick.
+            if guard is not None:
+                trace.tier = "sanitized"
+                item_fn = self._sanitized_item()
+                tail += [guard.tick] + self._make_checkers(
+                    guard, sorted_sites, buffers, local_size
+                )
+            else:
+                item_fn = self._item()
+            lead = [seg_counts] + buffer_args + scalar_args
 
         span_args["tier"] = trace.tier
         with tracer.span("device", cat="executor", **span_args):
@@ -1949,12 +2030,9 @@ class CompiledKernel:
                         local_size,
                         global_size,
                         n_groups,
-                        seg_counts,
-                        *buffer_args,
-                        *scalar_args,
+                        *lead,
                         *local_mem,
-                        *appenders,
-                        *guard_args,
+                        *tail,
                     )
                     items.append(gen)
                 # Lockstep phases between barriers.
@@ -1976,6 +2054,8 @@ class CompiledKernel:
                         trace.barriers += 1
                     live = next_live
 
+        if trace.timing is not None:
+            return trace
         self._finish_trace(trace, seg_counts, site_traces)
         if guard is not None:
             with tracer.span(
@@ -1984,12 +2064,18 @@ class CompiledKernel:
                 guard.scan_races(site_traces)
         return trace
 
+    def _records(self):
+        """A fresh segment counter list and one empty
+        :class:`SiteTrace` per access site, for a traced launch."""
+        # site_meta holds SiteTrace's arguments: (space, elem_bytes,
+        # width, is_store, array).
+        site_traces = {site: SiteTrace(*meta) for site, meta in self.site_meta.items()}
+        return [0] * len(self.segments), site_traces
+
     def _launch_batch(
         self,
         batch_fn,
         trace,
-        seg_counts,
-        site_traces,
         buffer_args,
         scalar_args,
         global_size,
@@ -2005,6 +2091,7 @@ class CompiledKernel:
         difference either.
         """
         trace.tier = "batch"
+        seg_counts, site_traces = self._records()
         lanes = np.arange(global_size, dtype=np.int64)
         lids = lanes % local_size
         groups = lanes // local_size

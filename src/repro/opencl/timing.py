@@ -244,8 +244,18 @@ def time_launch(trace, device):
     answered from its kernel's memo, a dict from ``(launch shape,
     DeviceModel)`` to :class:`KernelTiming`, when that shape was timed
     on ``device`` before. The answer is exact: the trace is a function
-    of the shape, so analysing it again would give the same timing.
+    of the shape, so analysing it again would give the same timing. A
+    launch that ran untraced already carries its memo's timing, which
+    answers only for the device it was looked up for.
     """
+    if trace.timing is not None:
+        if device != trace.model:
+            raise ValueError(
+                "launch of {} carries its timing on {}, not on {}".format(
+                    trace.kernel_name, trace.model.name, device.name
+                )
+            )
+        return trace.timing
     memo = trace.memo
     if memo is None:
         return analyze_launch(trace, device)
@@ -262,6 +272,12 @@ def time_launch(trace, device):
 def analyze_launch(trace, device):
     """Time one launch from its trace: every site aggregated, then the
     roofline. The uncached path of :func:`time_launch`."""
+    if trace.timing is not None:
+        raise ValueError(
+            "launch of {} ran untraced: it has no trace to analyse".format(
+                trace.kernel_name
+            )
+        )
     local_size = max(1, trace.local_size)
     site_stats = {
         site: analyze_site(tr, device, local_size)

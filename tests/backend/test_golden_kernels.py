@@ -13,7 +13,8 @@ The simulator's own generated Python is pinned the same way: for the
 cases above, each app's map kernel with local-memory staging off, and
 pipeline3's three stages plus their fused kernel,
 ``tests/golden/executor_sources.json`` holds SHA-256 digests of the
-per-item, sanitized and batch sources and the batch decline reason.
+per-item, sanitized, batch and untraced sources and the batch decline
+reason.
 
 The snapshots exist to catch *unintentional* codegen drift — a change
 that shows up here but was not meant to alter generated code is a bug.
@@ -188,6 +189,7 @@ def test_golden_executor_sources(case):
         "sanitized": _digest(compiled.sanitized_source),
         "batch": _digest(compiled.batch_source),
         "batch_reason": compiled.batch_reason,
+        "untraced": _digest(compiled.untraced_source),
     }
     golden = (
         json.loads(EXECUTOR_GOLDEN.read_text())
@@ -213,11 +215,12 @@ def test_golden_executor_sources(case):
     )
 
 
-# Arrays are named ``m_<name>``; ``_i8``/``_i32``/``_i64`` are the wrap
-# helpers (``\b`` keeps trace appends such as ``_ti32(`` out).
-ARRAY_ITEM = re.compile(r"\bm_\w+\.item\(")
+# ``_i8``/``_i32``/``_i64`` are the wrap helpers (``\b`` keeps trace
+# appends such as ``_ti32(`` out).
 WRAP_CALL = re.compile(r"\b_i(8|32|64)\(")
 OVERFLOW_BRANCH = re.compile(r"else _i(8|32|64)\(_w\)")
+# A trace appender, ``_tl<site>`` or ``_ti<site>`` (``m_tiles`` is not).
+APPENDER = re.compile(r"\b_t[li]\d")
 
 
 @pytest.mark.parametrize(
@@ -225,16 +228,21 @@ OVERFLOW_BRANCH = re.compile(r"else _i(8|32|64)\(_w\)")
 )
 def test_per_item_sources_read_with_item_and_trace_with_appends(case):
     """The per-item and sanitized sources read a scalar from a
-    memoryview of its array (no ``.item(`` call on a buffer, LOCAL or
-    private array, no NumPy scalar from ``a[i]``), call a wrap helper
-    only in a range check's overflow branch, and record an access with
-    two bound appends (no per-access tuple). A lane extract
-    ``.item(k)`` on a vector temp stays."""
+    memoryview of its array and a vector as a list (no ``.item(`` call
+    at all, no NumPy scalar from ``a[i]``), call a wrap helper only in
+    a range check's overflow branch, and record an access with two
+    bound appends (no per-access tuple). The untraced source, where a
+    kernel has one, is the per-item source without its appends and
+    segment counters."""
     compiled = _compiled(case)
-    for source in (compiled.source, compiled.sanitized_source):
+    sources = [compiled.source, compiled.sanitized_source]
+    if compiled.untraced_source is not None:
+        sources.append(compiled.untraced_source)
+        assert not APPENDER.search(compiled.untraced_source)
+        assert "_segc" not in compiled.untraced_source
+    for source in sources:
         header, body = source.split("\n", 1)
-        assert "].item()" not in body
-        assert not ARRAY_ITEM.search(body)
+        assert ".item(" not in body
         assert not WRAP_CALL.search(OVERFLOW_BRANCH.sub("", body))
         assert "(_gid," not in body.replace(" ", "")
         assert "_tr" not in header

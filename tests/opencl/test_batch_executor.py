@@ -375,6 +375,30 @@ def test_shadowing_declaration_is_its_own_variable():
         assert buffers["y"][:8].tolist() == [24, 28, 32, 36, 20, 23, 26, 29]
 
 
+LOAD_THEN_STORE = """
+__kernel void k(__global float* y, __global float* x) {
+    int i = get_global_id(0);
+    float4 v = vload4(i, x);
+    vstore4((float4)(9.0f), i, x);
+    y[i] = v.x + v.w;
+}
+"""
+
+
+def test_loaded_vector_keeps_its_values_after_a_store():
+    # C: v holds x[4i..4i+3] as loaded, whatever is stored to x later.
+    # A vector that viewed the buffer would read the 9s back (18 each).
+    ck = _compile(LOAD_THEN_STORE, "k")
+    for guard in (None, LaunchGuard(SanitizerConfig(), "k")):
+        buffers = {
+            "y": np.zeros(4, dtype=np.float32),
+            "x": np.arange(16, dtype=np.float32),
+        }
+        ck.launch(buffers, {}, 4, 4, guard=guard, tier="per-item")
+        assert buffers["y"].tolist() == [3, 11, 19, 27]
+        assert buffers["x"].tolist() == [9.0] * 16
+
+
 # -- fallback semantics --------------------------------------------------
 
 

@@ -228,10 +228,11 @@ def test_float_stores_round_to_float32():
     "dtype", [np.bool_, np.int8, np.int32, np.int64, np.float32, np.float64]
 )
 def test_item_accessor_matches_indexed_item(dtype):
-    """Generated per-item code reads a scalar as ``memoryview(a)[i]``,
-    and the batch runtime's scalar branches and lane extracts as
-    ``a.item(i)``: both must give the value and Python type
-    ``a[i].item()`` gives, and fail the same way."""
+    """Generated per-item code reads a scalar as ``memoryview(a)[i]``
+    and a vector lane from ``a.tolist()``, and the batch runtime's
+    scalar branches and lane extracts as ``a.item(i)``: all must give
+    the value and Python type ``a[i].item()`` gives, and fail the same
+    way."""
     if np.dtype(dtype).kind == "f":
         values = [0.0, -0.0, 1.5, -2.25, np.nan, -np.nan, np.inf, -np.inf, 3e38]
     elif dtype is np.bool_:
@@ -241,10 +242,11 @@ def test_item_accessor_matches_indexed_item(dtype):
         values = [0, -1, 1, int(info.min), int(info.max), 7]
     a = np.array(values, dtype=dtype)
     view = memoryview(a)
+    lanes = a.tolist()
     n = len(a)
     for i in range(-n, n):
         want = a[i].item()
-        for got in (a.item(i), view[i]):
+        for got in (a.item(i), view[i], lanes[i]):
             assert type(got) is type(want)
             if isinstance(want, float):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -255,5 +257,7 @@ def test_item_accessor_matches_indexed_item(dtype):
             a.item(i)
         with pytest.raises(IndexError):
             view[i]
+        with pytest.raises(IndexError):
+            lanes[i]
         with pytest.raises(IndexError):
             a[i].item()

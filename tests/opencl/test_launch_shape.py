@@ -6,9 +6,10 @@ site's lanes and indices and every segment count, is a function of its
 launch shape (global size, local size, ``index_base`` and the scalar
 arguments). :func:`repro.opencl.timing.time_launch` then times each
 shape once per device and answers every later launch of it from the
-kernel's timing memo.
+kernel's timing memo, and a per-item launch that the memo answers runs
+the kernel's untraced source.
 
-Three groups of checks:
+Four groups of checks:
 
 - the verdicts: one small kernel per decline reason, the ten apps'
   kernels and the golden OpenCL-C snapshots;
@@ -19,12 +20,17 @@ Three groups of checks:
 - the memo itself: every hit equals a fresh analysis over the ten apps
   on all four devices, the key is exact, the bound, the lifetime, the
   number of fresh analyses, and straggler latency that never leaks into
-  the shared timing.
+  the shared timing;
+- untraced hits: a hit writes what a traced launch writes and records
+  no site, only an unguarded per-item hit given its device model runs
+  untraced, a disk-loaded kernel does so without codegen, and its
+  timing answers for that model alone.
 """
 
 import collections
 import pathlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +42,7 @@ from repro.backend import kernel_ir as K
 from repro.evaluation.harness import run_configuration
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.device import DEVICES, GTX580
-from repro.opencl.executor import CompiledKernel, shape_fixed
+from repro.opencl.executor import CompiledKernel, codegen_compiles, shape_fixed
 from repro.opencl.kernel_cache import cached_compile_kernel, reset_global_cache
 from repro.opencl.timing import analyze_launch, time_launch
 from repro.runtime.resilience import FaultInjector, FaultSpec
@@ -394,17 +400,37 @@ DEVICE_TARGETS = ["cpu-6", "gtx580", "gtx8800", "hd5970"]
 
 @pytest.mark.parametrize("target", DEVICE_TARGETS)
 def test_every_memo_hit_equals_a_fresh_analysis(target, fresh_analyses, monkeypatch):
+    """A per-item hit ran untraced, so it is launched again, traced, on
+    copies of its inputs, and that trace is analysed."""
     real = glue.time_launch
+    real_launch = CompiledKernel.launch
     hits = []
+
+    def recording(self, buffers, scalars, global_size, local_size, **kwargs):
+        inputs = ({n: b.copy() for n, b in buffers.items()}, dict(scalars))
+        trace = real_launch(self, buffers, scalars, global_size, local_size, **kwargs)
+        trace.relaunch = lambda: real_launch(
+            self,
+            *inputs,
+            global_size,
+            local_size,
+            tier=kwargs.get("tier", "auto"),
+            index_base=kwargs.get("index_base", 0),
+        )
+        return trace
 
     def rechecking(trace, device_model):
         before = len(fresh_analyses)
         got = real(trace, device_model)
         if len(fresh_analyses) == before:
             hits.append(trace)
+            if trace.timing is not None:
+                assert trace.sites == {}
+                trace = trace.relaunch()
             assert_same_timing(got, analyze_launch(trace, device_model))
         return got
 
+    monkeypatch.setattr(CompiledKernel, "launch", recording)
     monkeypatch.setattr(glue, "time_launch", rechecking)
     reset_global_cache()
     for name in sorted(ALL_BENCHMARKS):
@@ -414,6 +440,8 @@ def test_every_memo_hit_equals_a_fresh_analysis(target, fresh_analyses, monkeypa
         )
         # Not vacuous: every app repeats a shape of a shape-fixed kernel.
         assert len(hits) > before, name
+    # The tiled apps' repeats ran untraced.
+    assert any(trace.timing is not None for trace in hits)
 
 
 @pytest.mark.parametrize(
@@ -543,3 +571,155 @@ def test_straggler_latency_stays_out_of_the_shared_timing(monkeypatch):
         extra = twin.launch_latency_ns(clean.kernel_ns)
         assert extra > 0.0
         assert got == clean.kernel_ns + extra
+
+
+# -- memo hits run untraced ------------------------------------------------------
+
+# The per-item kernels of the tiled apps, at the default config.
+TILED_APPS = ["mosaic", "nbody-double", "nbody-single", "parboil-cp", "parboil-mriq"]
+
+
+def hit_after_traced_launch(compiled, seed=1):
+    """Launch ``compiled`` traced, time it on the GTX 580, then launch
+    it again on copies of the same inputs: ``(traced, hit, timing,
+    traced buffers, hit buffers)``."""
+    traced_buffers, scalars = random_args(compiled.kernel, seed)
+    hit_buffers = {name: buf.copy() for name, buf in traced_buffers.items()}
+    traced = compiled.launch(
+        traced_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580
+    )
+    timed = time_launch(traced, GTX580)
+    hit = compiled.launch(hit_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580)
+    return traced, hit, timed, traced_buffers, hit_buffers
+
+
+def assert_hit_runs_untraced(compiled):
+    """The second launch of a shape runs the untraced source: it writes
+    every buffer as the traced launch did, bit for bit, records no
+    site and carries the memo's timing."""
+    assert not re.search(r"\b_t[li]\d", compiled.untraced_source)
+    assert "_segc" not in compiled.untraced_source
+    traced, hit, timed, traced_buffers, hit_buffers = hit_after_traced_launch(compiled)
+    assert traced.timing is None and traced.sites.keys() == compiled.site_meta.keys()
+    assert hit.tier == "per-item"
+    assert hit.sites == {}
+    assert hit.timing is timed
+    assert time_launch(hit, GTX580) is timed
+    for name, buf in traced_buffers.items():
+        assert hit_buffers[name].tobytes() == buf.tobytes(), name
+
+
+@pytest.mark.parametrize("name", TILED_APPS)
+def test_tiled_app_hits_run_untraced(name):
+    kernels = [
+        CompiledKernel(ir)
+        for ir, compiled in compile_app(name, device=GTX580, config=CONFIGS["default"])
+        if compiled.untraced_source is not None
+    ]
+    assert kernels
+    for compiled in kernels:
+        assert_hit_runs_untraced(compiled)
+
+
+@pytest.mark.parametrize("path", GOLDEN_SOURCES, ids=[p.stem for p in GOLDEN_SOURCES])
+def test_golden_hits_run_untraced(path):
+    for ir in compile_opencl_source(path.read_text()).values():
+        compiled = CompiledKernel(ir)
+        if compiled.untraced_source is None:
+            # Only a shape-fixed kernel without a batch source has one.
+            assert not compiled.shape_fixed or compiled.batch_supported
+            continue
+        assert_hit_runs_untraced(compiled)
+
+
+BARRIER_REVERSE = """
+__kernel void k(__global float* y, __global const float* x, int n) {
+    __local float tile[16];
+    int lid = get_local_id(0);
+    int i = get_global_id(0);
+    tile[lid] = x[i];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    y[i] = tile[15 - lid] * 2.0f;
+}
+"""
+
+
+def assert_full_trace(trace, compiled):
+    assert trace.timing is None
+    assert trace.sites.keys() == compiled.site_meta.keys()
+    assert all(site.accesses for site in trace.sites.values())
+    assert trace.total_ops() > 0
+
+
+def test_only_an_unguarded_memo_hit_given_its_model_runs_untraced():
+    compiled = CompiledKernel(kernel(BARRIER_REVERSE))
+    assert compiled.untraced_source is not None
+
+    def launched(n=16, **options):
+        y, x = np.zeros(32, np.float32), np.arange(32, dtype=np.float32)
+        return compiled.launch({"y": y, "x": x}, {"n": n}, 32, 16, **options)
+
+    miss = launched(model=GTX580)
+    assert_full_trace(miss, compiled)
+    time_launch(miss, GTX580)
+    assert launched(model=GTX580).timing is not None
+    guard = LaunchGuard(SanitizerConfig(), compiled.kernel.name)
+    for trace in (
+        launched(model=GTX580, guard=guard),
+        launched(),  # no model
+        launched(model=DEVICES["gtx8800"]),  # a device not timed yet
+        launched(n=8, model=GTX580),  # a shape not timed yet
+    ):
+        assert_full_trace(trace, compiled)
+
+
+def test_batch_memo_hit_records_a_full_trace():
+    compiled = CompiledKernel(kernel(AXPB))
+    assert compiled.batch_supported and compiled.untraced_source is None
+    for _ in range(2):
+        y, x = np.zeros(16, np.float32), np.ones(16, np.float32)
+        trace = compiled.launch(
+            {"y": y, "x": x}, {"a": 2.0, "b": 1}, 16, 8, model=GTX580
+        )
+        assert trace.tier == "batch"
+        assert_full_trace(trace, compiled)
+        time_launch(trace, GTX580)
+    assert len(compiled.timings) == 1
+
+
+def test_disk_loaded_kernel_runs_untraced_without_codegen():
+    art = CompiledKernel(kernel(BARRIER_REVERSE)).artifact()
+    before = codegen_compiles()
+    restored = CompiledKernel.from_artifact(pickle.loads(pickle.dumps(art)))
+    assert restored.untraced_source == art["untraced_source"] is not None
+    assert_hit_runs_untraced(restored)
+    assert codegen_compiles() == before
+
+
+def test_untraced_launch_times_only_on_its_model():
+    compiled = CompiledKernel(kernel(BARRIER_REVERSE))
+    _traced, hit, _timed, _bufs, _hit_bufs = hit_after_traced_launch(compiled)
+    assert hit.timing is not None
+    with pytest.raises(ValueError, match="GTX 580"):
+        time_launch(hit, DEVICES["gtx8800"])
+    with pytest.raises(ValueError, match="untraced"):
+        analyze_launch(hit, GTX580)
+
+
+EMPTY_LOOP = """
+__kernel void k(__global int* y, int n) {
+    int i = get_global_id(0);
+    int z = 0;
+    while (z) {
+    }
+    y[i] = z + n;
+}
+"""
+
+
+def test_untraced_body_left_empty_gets_pass():
+    # Traced, the loop body holds only its segment counter bump.
+    compiled = CompiledKernel(kernel(EMPTY_LOOP))
+    assert "pass" not in compiled.source
+    assert compiled.untraced_source.count("pass") == 1
+    assert_hit_runs_untraced(compiled)
