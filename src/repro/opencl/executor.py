@@ -82,7 +82,7 @@ def resolve_exec_tier(explicit=None):
 # Bump when CompiledKernel.artifact()'s shape or the generated sources
 # change: a mismatched on-disk kernel artifact is treated as a cache
 # miss, never deserialized.
-DISK_ARTIFACT_VERSION = 7
+DISK_ARTIFACT_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +93,13 @@ DISK_ARTIFACT_VERSION = 7
 class SiteTrace:
     """Raw memory trace for one static access site.
 
-    Accesses arrive either one at a time (the per-item tier appends to
-    the ``lanes``/``indices`` lists) or as whole-ndrange blocks (the
-    batch tier calls :meth:`append_block` once per executed access
-    site per iteration). Both shapes merge in :meth:`arrays`; per-lane
-    access order is preserved in either representation, which is all
-    the timing model depends on.
+    Accesses arrive as blocks, one :meth:`append_block` call each: the
+    batch tier appends one per executed access site per iteration, a
+    per-item launch one per site when it ends. Per-lane access order is
+    preserved, which is all the timing model depends on.
     """
 
-    __slots__ = (
-        "space",
-        "elem_bytes",
-        "width",
-        "is_store",
-        "array",
-        "lanes",
-        "indices",
-        "blocks",
-    )
+    __slots__ = ("space", "elem_bytes", "width", "is_store", "array", "blocks")
 
     def __init__(self, space, elem_bytes, width, is_store, array=None):
         self.space = space
@@ -118,9 +107,9 @@ class SiteTrace:
         self.width = width  # vector width (elements moved per access)
         self.is_store = is_store
         self.array = array  # buffer name (for the race sanitizer)
-        self.lanes = []  # global work-item ids
-        self.indices = []  # element indices (in units of width)
-        self.blocks = []  # (lanes int64 array, indices int64 array) chunks
+        # (global work-item ids, element indices in units of width):
+        # int64 array pairs.
+        self.blocks = []
 
     def append_block(self, lanes, indices, count=None):
         """Record one vectorized visit to this site: ``lanes[i]``
@@ -136,26 +125,22 @@ class SiteTrace:
 
     @property
     def accesses(self):
-        return len(self.lanes) + sum(len(b) for b, _ in self.blocks)
+        return sum(len(b) for b, _ in self.blocks)
 
     @property
     def bytes_moved(self):
         return self.accesses * self.elem_bytes * self.width
 
     def arrays(self):
-        # fromiter with a known count converts a list of Python ints
-        # faster than np.asarray.
-        lanes, indices = self.lanes, self.indices
-        scalar_lanes = np.fromiter(lanes, dtype=np.int64, count=len(lanes))
-        scalar_idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
+        """All accesses in order: ``(lanes, indices)``."""
+        if len(self.blocks) == 1:
+            return self.blocks[0]
         if not self.blocks:
-            return scalar_lanes, scalar_idx
-        lane_parts = [b for b, _ in self.blocks]
-        idx_parts = [i for _, i in self.blocks]
-        if len(scalar_lanes):
-            lane_parts.insert(0, scalar_lanes)
-            idx_parts.insert(0, scalar_idx)
-        return np.concatenate(lane_parts), np.concatenate(idx_parts)
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return (
+            np.concatenate([b for b, _ in self.blocks]),
+            np.concatenate([i for _, i in self.blocks]),
+        )
 
 
 # The op counters: one per instruction class the timing model prices.
@@ -269,6 +254,19 @@ _INT_DIV = {
     ("%", True): ("_irem({}, {})", "_virem({}, {})"),
 }
 
+# Integer vector division: (op, lane kind) -> spelling over the NumPy
+# lane arrays of the operands (the batch tier declines vector
+# arithmetic). The batch helpers truncate as C does; a quotient wraps to
+# the lane width, and a remainder always fits.
+_VEC_DIV = {
+    (op, kind): spelling
+    for kind, (_item, lanes) in _INT_WRAP.items()
+    for op, spelling in (
+        ("/", lanes.format("_vidiv({}, {})")),
+        ("%", "_virem({}, {})"),
+    )
+}
+
 # Integer Math.abs: kind -> (per-item, batch). The minimum has no
 # positive counterpart and stays itself, as on the host. Per-item tests
 # the sign of a walrus temp, which costs less than wrapping abs().
@@ -364,7 +362,7 @@ class _Codegen:
     access and a watchdog tick ``_wd()`` at the top of every loop
     iteration. With ``traced=False`` it records nothing: no trace
     appends, no segment counter bumps, and neither ``_segc`` nor the
-    ``_tl``/``_ti`` appenders among its parameters; a launch whose
+    ``_ti`` appenders among its parameters; a launch whose
     timing the memo already holds runs it. The op-count segments and
     access sites are identical in every mode, so instrumented launches
     report the same profile.
@@ -372,6 +370,14 @@ class _Codegen:
     A per-item vector value is a Python list, so a loaded vector holds
     its values as in C; arithmetic on vectors runs on NumPy arrays of
     the operand's type and converts its result back.
+
+    A pure integer expression, a wrapped ``+``, ``-`` or ``*`` whose
+    operands are variables, constants, work-item ids or such
+    expressions, is computed once at an eager position: its first use
+    emits it into a temp, and later uses read the temp while it holds,
+    that is until a variable it reads is assigned, a barrier, a loop
+    boundary or the end of the block that made it. Every use still
+    charges its ops.
 
     This is the one traversal behind every tier: :class:`_BatchCodegen`
     inherits it and overrides only the batch tier's spellings.
@@ -403,6 +409,11 @@ class _Codegen:
         self.sites = {}  # site -> (space, elem_bytes, width, is_store, array)
         self.views = set()  # arrays read as scalars through a memoryview
         self.has_barrier = False
+        self.lazy = 0  # how many operands that make no temp enclose this one
+        # Code of a pure integer expression -> the temp holding it, and
+        # every such temp ever made -> the variables it reads.
+        self.held = {}
+        self.temps = {}
         # Loop-context stack for break/continue translation: each entry
         # is ("plain", None) for loops whose Python form matches the IR
         # semantics directly, or ("wrapped", brk_var) for KFor loops
@@ -500,9 +511,56 @@ class _Codegen:
         spell (batch override)."""
 
     def _lazy(self, e):
-        """An operand per-item may skip: a ``?:`` arm or the right side
-        of ``&&``/``||`` (batch override)."""
-        return self.expr(e)
+        """An operand that makes and reads no temp: one per-item may
+        skip (a ``?:`` arm or the right side of ``&&``/``||``), or a
+        ``while`` condition. The batch tier evaluates a skippable
+        operand on every lane, so its :meth:`_check_node` declines
+        what can fault there."""
+        self.lazy += 1
+        value = self.expr(e)
+        self.lazy -= 1
+        return value
+
+    def _held(self, e, value, left, right):
+        """``value``, the code of the integer ``+ - *`` ``e`` with
+        operand codes ``left`` and ``right``, read from a temp when
+        ``e`` is pure and at an eager position: its first use emits the
+        temp (batch override). A pure operand there is a temp already."""
+        if self.lazy:
+            return value
+        reads = set()
+        for operand, code in ((e.left, left), (e.right, right)):
+            if code in self.temps:
+                reads |= self.temps[code]
+            elif isinstance(operand, K.KVar):
+                reads.add(operand.name)
+            elif not isinstance(operand, K.KConst) and not (
+                isinstance(operand, K.KCall) and operand.name in _WORKITEM_FUNCS
+            ):
+                return value
+        temp = self.held.get(value)
+        if temp is None:
+            temp = self.held[value] = self.fresh()
+            self.temps[temp] = reads
+            self.emit("{} = {}".format(temp, value))
+        return temp
+
+    def _assigned(self, name):
+        """``name`` was just assigned: drop the temps that read it."""
+        self.held = {
+            code: temp
+            for code, temp in self.held.items()
+            if name not in self.temps[temp]
+        }
+
+    def _name(self, value):
+        """A name holding ``value``: the temp it is, or a fresh one
+        assigned it."""
+        if value in self.temps:
+            return value
+        name = self.fresh()
+        self.emit("{} = {}".format(name, value))
+        return name
 
     def _var(self, name):
         return _pyname(name)
@@ -550,10 +608,21 @@ class _Codegen:
         shift_mask = 63 if is_long else 31
         if op in ("/", "%") and is_int:
             return _INT_DIV[op, is_long][self.TIER].format(left, right)
+        if (
+            op in ("/", "%")
+            and isinstance(e.ktype, K.KVector)
+            and _is_int(e.ktype.base)
+        ):
+            return _VEC_DIV[op, e.ktype.base.kind].format(left, right)
         if op == "/" and not isinstance(e.ktype, K.KVector):
             return self.FDIV.format(left, right)
         if op in ("*", "+", "-") and is_int:
-            return self._wrap(e.ktype, "({}) {} ({})".format(left, op, right))
+            return self._held(
+                e,
+                self._wrap(e.ktype, "({}) {} ({})".format(left, op, right)),
+                left,
+                right,
+            )
         if op == "<<":
             return self._wrap(
                 e.ktype, "({}) << (({}) & {})".format(left, right, shift_mask)
@@ -609,9 +678,9 @@ class _Codegen:
         self.sites[node.site] = (space, elem_bytes, width, is_store, array)
 
     def _trace(self, site, index):
-        # Two bound ``list.append`` calls: no per-access tuple.
+        # One bound ``list.append``: the launch knows which item ran.
         if self.traced:
-            self.emit("_tl{0}(_gid); _ti{0}({1})".format(site, index))
+            self.emit("_ti{}({})".format(site, index))
 
     def _load(self, e):
         """A buffer load, or an image read: a 4-wide load at ``coord``."""
@@ -621,8 +690,7 @@ class _Codegen:
         image = isinstance(e, K.KImageLoad)
         index = self.expr(e.coord if image else e.index)
         temp = self.fresh()
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
+        idx_var = self._name(index)
         if self.sanitize:
             self.emit("_ck{}({})".format(e.site, idx_var))
         if image:
@@ -660,9 +728,11 @@ class _Codegen:
             self._declare(s.name)
             init = self._materialize(s.name, init, s.ktype)
             self.emit("{} = {}".format(_pyname(s.name), init))
+            self._assigned(s.name)
         elif isinstance(s, K.KAssign):
             value = self._materialize(s.name, self.expr(s.value))
             self.emit("{} = {}".format(_pyname(s.name), value))
+            self._assigned(s.name)
         elif isinstance(s, K.KStore):
             self._store(s)
         elif isinstance(s, K.KIf):
@@ -677,24 +747,12 @@ class _Codegen:
         elif isinstance(s, K.KFor):
             self._for(s)
         elif isinstance(s, K.KWhile):
-            self.close_segment()
-            self.emit("while {}:".format(self.expr(s.cond)))
-            self.indent += 1
-            start = len(self.lines)
-            if self.sanitize:
-                self.emit("_wd()")
-            self._iteration(induction=0)
-            self.loop_stack.append(("plain", None))
-            for child in s.body:
-                self.stmt(child)
-            self.loop_stack.pop()
-            self._pass_if_empty(start)
-            self.indent -= 1
-            self.close_segment()
+            self._while(s)
         elif isinstance(s, K.KBarrier):
             self.has_barrier = True
             self.emit("yield 0")
             self.close_segment()
+            self.held = {}
         elif isinstance(s, K.KReturn):
             self.emit("return")
             self.close_segment()
@@ -725,23 +783,24 @@ class _Codegen:
         self.indent += 1
         self.close_segment()
         start = len(self.lines)
+        outer = dict(self.held)
         for child in stmts:
             self.stmt(child)
-        self._pass_if_empty(start)
+        # The temps made here end with the block; the ones it killed
+        # stay dead.
+        self.held = {
+            code: temp for code, temp in self.held.items() if outer.get(code) == temp
+        }
+        if all(line.lstrip().startswith("#") for line in self.lines[start:]):
+            self.emit("pass")  # an empty body, or one of comments
         self.indent -= 1
         self.close_segment()
-
-    def _pass_if_empty(self, start):
-        """Close a body that emitted no statement since ``start`` (an
-        empty one, or an untraced loop body whose only statement was
-        its counter bump) with ``pass``."""
-        if all(line.lstrip().startswith("#") for line in self.lines[start:]):
-            self.emit("pass")
 
     def _loop_bounds(self, s, start):
         """Emit ``start`` formatted with the loop's lower bound, then
         its upper bound and step; return the bound and step temps."""
         self.emit(start.format(self.expr(s.lo)))
+        self._assigned(s.var)
         hi = self.fresh()
         self.emit("{} = {}".format(hi, self.expr(s.hi)))
         step = self.fresh()
@@ -752,6 +811,7 @@ class _Codegen:
     def _for(self, s):
         var = _pyname(s.var)
         hi, step = self._loop_bounds(s, var + " = {}")
+        self.held = {}  # a loop boundary
         self.emit("while {} < {}:".format(var, hi))
         self.indent += 1
         if self.sanitize:
@@ -783,6 +843,29 @@ class _Codegen:
         self.emit("{} += {}".format(var, step))
         self.indent -= 1
         self.close_segment()
+        self.held = {}
+
+    def _while(self, s):
+        """``while True:``, then the condition: its loads are read,
+        traced and checked on every test. The test, counted once per
+        evaluation, is a segment of its own; the body starts another."""
+        self.close_segment()
+        self.held = {}  # a loop boundary
+        self.emit("while True:")
+        self.indent += 1
+        self._iteration(induction=0)
+        self.emit("if not ({}):".format(self._lazy(s.cond)))
+        self.emit("    break")
+        self.close_segment()
+        if self.sanitize:
+            self.emit("_wd()")
+        self.loop_stack.append(("plain", None))
+        for child in s.body:
+            self.stmt(child)
+        self.loop_stack.pop()
+        self.indent -= 1
+        self.close_segment()
+        self.held = {}
 
     def _store(self, s):
         if s.site < 0:
@@ -790,8 +873,7 @@ class _Codegen:
         self._register_site(s, is_store=True)
         index = self.expr(s.index)
         value = self.expr(s.value)
-        idx_var = self.fresh()
-        self.emit("{} = {}".format(idx_var, index))
+        idx_var = self._name(index)
         if self.sanitize:
             val_var = self.fresh()
             self.emit("{} = {}".format(val_var, value))
@@ -852,9 +934,7 @@ class _Codegen:
             ]
         )
         if self.traced:
-            params += [
-                "_t{}{}".format(k, site) for site in sorted(self.sites) for k in "li"
-            ]
+            params += ["_ti{}".format(site) for site in sorted(self.sites)]
         if self.sanitize:
             params += ["_wd"] + [
                 "_ck{}".format(site) for site in sorted(self.sites)
@@ -1127,7 +1207,6 @@ class _BatchCodegen(_Codegen):
         self.varying = _varying_vars(kernel)
         self.depth = 0
         self.var_depth = {}
-        self.lazy = 0  # how many operands per-item may skip enclose this one
         names = set()
         for stmt in K.walk_stmts(kernel.body):
             for e in K.walk_stmt_exprs(stmt):
@@ -1181,13 +1260,8 @@ class _BatchCodegen(_Codegen):
         elif isinstance(node, (K.KBreak, K.KContinue, K.KReturn)):
             raise _Ineligible("loop control jump")
 
-    def _lazy(self, e):
-        # Evaluated on every lane, so _check_node declines what can
-        # fault here when per-item skips it.
-        self.lazy += 1
-        value = self.expr(e)
-        self.lazy -= 1
-        return value
+    def _held(self, e, value, left, right):
+        return value  # lane arrays: no temps
 
     def _var(self, name):
         if (
@@ -1461,10 +1535,13 @@ def _vmax(a, b):
 def _vidiv(a, b):
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _idiv(a, b)
-    b_arr = np.asarray(b)
+    # In int64, whatever the lane type: a per-item vector's lanes are
+    # int32 (or int8), and INT_MIN / -1 must not overflow before the
+    # caller wraps it.
+    b_arr = np.asarray(b, dtype=np.int64)
     if not np.all(b_arr != 0):
         raise DeviceError("device integer division by zero")
-    a_arr = np.asarray(a)
+    a_arr = np.asarray(a, dtype=np.int64)
     q = np.floor_divide(a_arr, b_arr)
     r = a_arr - q * b_arr
     # C truncates toward zero; floor_divide floors. They differ by one
@@ -1475,7 +1552,9 @@ def _vidiv(a, b):
 def _virem(a, b):
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _irem(a, b)
-    return np.asarray(a) - _vidiv(a, b) * np.asarray(b)
+    return np.asarray(a, dtype=np.int64) - _vidiv(a, b) * np.asarray(
+        b, dtype=np.int64
+    )
 
 
 def _vfdiv(a, b):
@@ -1989,15 +2068,16 @@ class CompiledKernel:
             trace.model = model
             item_fn = self._function(":untraced", self.untraced_source, "_item")
             lead, tail = buffer_args + scalar_args, []
+            step_gids = None
         else:
             seg_counts, site_traces = self._records()
             sorted_sites = sorted(site_traces)
-            # Each site's two bound appends, shared across the launch:
-            # one takes the global id, the other the element index.
-            tail = []
-            for site in sorted_sites:
-                tr = site_traces[site]
-                tail += [tr.lanes.append, tr.indices.append]
+            # Each site's bound append takes the element index; the
+            # scheduler records which item ran each step, and how far
+            # every site's list had grown when the step ended.
+            index_lists = [[] for _ in sorted_sites]
+            tail = [indices.append for indices in index_lists]
+            step_gids, step_ends = [], []
             # Guarded launches run the instrumented item code with one
             # checker per site plus the watchdog tick.
             if guard is not None:
@@ -2034,20 +2114,23 @@ class CompiledKernel:
                         *local_mem,
                         *tail,
                     )
-                    items.append(gen)
+                    items.append((gid, gen))
                 # Lockstep phases between barriers.
                 live = items
                 while live:
                     next_live = []
                     stopped = 0
-                    for gen in live:
+                    for item in live:
                         try:
-                            next(gen)
-                            next_live.append(gen)
+                            next(item[1])
+                            next_live.append(item)
                         except StopIteration:
                             stopped += 1
                         except IndexError as err:
                             raise self._out_of_bounds(err) from err
+                        if step_gids is not None:
+                            step_gids.append(item[0])
+                            step_ends.extend(map(len, index_lists))
                     if guard is not None:
                         guard.phase_check(group, len(next_live), stopped)
                     if next_live:
@@ -2056,6 +2139,12 @@ class CompiledKernel:
 
         if trace.timing is not None:
             return trace
+        _append_runs(
+            [site_traces[site] for site in sorted_sites],
+            index_lists,
+            step_gids,
+            step_ends,
+        )
         self._finish_trace(trace, seg_counts, site_traces)
         if guard is not None:
             with tracer.span(
@@ -2174,6 +2263,25 @@ class CompiledKernel:
             rows = size // spec.row
             return rows * (spec.row + spec.pad)
         return size
+
+
+def _append_runs(sites, index_lists, step_gids, step_ends):
+    """Give each per-item site one block. ``index_lists[k]`` holds the
+    element indices ``sites[k]`` recorded; step ``s`` ran the item
+    ``step_gids[s]``, and at its end the lists had grown to
+    ``step_ends[s * len(sites) : (s + 1) * len(sites)]``. A step runs
+    one item alone, so each site's lanes are the steps' gids repeated
+    by the accesses each step made there."""
+    gids = np.array(step_gids, dtype=np.int64)
+    ends = np.array(step_ends, dtype=np.int64).reshape(len(gids), len(sites))
+    runs = np.diff(ends, axis=0, prepend=0)
+    for k, (site, indices) in enumerate(zip(sites, index_lists)):
+        # fromiter with a known count converts a list of Python ints
+        # faster than np.asarray.
+        site.append_block(
+            np.repeat(gids, runs[:, k]),
+            np.fromiter(indices, dtype=np.int64, count=len(indices)),
+        )
 
 
 def _np_dtype_of(spec):

@@ -222,7 +222,7 @@ class LaunchGuard:
             return
         per_array = {}
         for trace in site_traces.values():
-            if trace.space is not Space.GLOBAL or not trace.lanes:
+            if trace.space is not Space.GLOBAL or not trace.accesses:
                 continue
             lanes, indices = trace.arrays()
             if trace.width > 1:

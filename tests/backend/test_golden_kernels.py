@@ -219,8 +219,9 @@ def test_golden_executor_sources(case):
 # appends such as ``_ti32(`` out).
 WRAP_CALL = re.compile(r"\b_i(8|32|64)\(")
 OVERFLOW_BRANCH = re.compile(r"else _i(8|32|64)\(_w\)")
-# A trace appender, ``_tl<site>`` or ``_ti<site>`` (``m_tiles`` is not).
-APPENDER = re.compile(r"\b_t[li]\d")
+# A trace appender, ``_ti<site>``, or the global-id appender
+# ``_tl<site>`` no source may take (``m_tiles`` is neither).
+APPENDER = re.compile(r"\b_t[li]\d+")
 
 
 @pytest.mark.parametrize(
@@ -230,11 +231,16 @@ def test_per_item_sources_read_with_item_and_trace_with_appends(case):
     """The per-item and sanitized sources read a scalar from a
     memoryview of its array and a vector as a list (no ``.item(`` call
     at all, no NumPy scalar from ``a[i]``), call a wrap helper only in
-    a range check's overflow branch, and record an access with two
-    bound appends (no per-access tuple). The untraced source, where a
-    kernel has one, is the per-item source without its appends and
-    segment counters."""
+    a range check's overflow branch, and record an access with one
+    bound append of its index (no per-access tuple, no global id). The
+    untraced source, where a kernel has one, is the per-item source
+    without its appends and segment counters."""
     compiled = _compiled(case)
+    appenders = ["_ti{}".format(site) for site in sorted(compiled.site_meta)]
+    for source in (compiled.source, compiled.sanitized_source):
+        header, body = source.split("\n", 1)
+        assert APPENDER.findall(header) == appenders
+        assert all(len(APPENDER.findall(line)) <= 1 for line in body.splitlines())
     sources = [compiled.source, compiled.sanitized_source]
     if compiled.untraced_source is not None:
         sources.append(compiled.untraced_source)
@@ -246,3 +252,11 @@ def test_per_item_sources_read_with_item_and_trace_with_appends(case):
         assert not WRAP_CALL.search(OVERFLOW_BRANCH.sub("", body))
         assert "(_gid," not in body.replace(" ", "")
         assert "_tr" not in header
+
+
+def test_mosaic_wraps_each_tile_row_offset_once():
+    """``tiles[j][k]`` is ``j * 17 + k``: the per-item source computes
+    the wrapped row offset once where it stages a tile and once per
+    iteration of the loop that scores one, not once per element."""
+    source = _compiled(("mosaic", DEFAULT_DEVICE, None, None)).source
+    assert 1 <= source.count("* (17)") <= 2

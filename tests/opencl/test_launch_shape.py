@@ -348,7 +348,7 @@ def test_rpes_gather_trace_follows_buffer_contents():
     first, second = (launch(compiled, seed, "per-item") for seed in (1, 2))
     assert first.shape is None
     assert any(
-        not np.array_equal(trace.indices, second.sites[site].indices)
+        not np.array_equal(trace.arrays()[1], second.sites[site].arrays()[1])
         for site, trace in first.sites.items()
     )
 
@@ -597,7 +597,7 @@ def assert_hit_runs_untraced(compiled):
     """The second launch of a shape runs the untraced source: it writes
     every buffer as the traced launch did, bit for bit, records no
     site and carries the memo's timing."""
-    assert not re.search(r"\b_t[li]\d", compiled.untraced_source)
+    assert not re.search(r"\b_ti\d", compiled.untraced_source)
     assert "_segc" not in compiled.untraced_source
     traced, hit, timed, traced_buffers, hit_buffers = hit_after_traced_launch(compiled)
     assert traced.timing is None and traced.sites.keys() == compiled.site_meta.keys()
@@ -706,20 +706,23 @@ def test_untraced_launch_times_only_on_its_model():
         analyze_launch(hit, GTX580)
 
 
-EMPTY_LOOP = """
+EMPTY_BODIES = """
 __kernel void k(__global int* y, int n) {
     int i = get_global_id(0);
     int z = 0;
     while (z) {
+    }
+    if (n > 2) {
     }
     y[i] = z + n;
 }
 """
 
 
-def test_untraced_body_left_empty_gets_pass():
-    # Traced, the loop body holds only its segment counter bump.
-    compiled = CompiledKernel(kernel(EMPTY_LOOP))
-    assert "pass" not in compiled.source
+def test_empty_bodies_run_untraced():
+    # An empty while body still holds its condition test; an empty if
+    # body gets pass, traced and untraced alike.
+    compiled = CompiledKernel(kernel(EMPTY_BODIES))
+    assert compiled.source.count("pass") == 1
     assert compiled.untraced_source.count("pass") == 1
     assert_hit_runs_untraced(compiled)

@@ -11,9 +11,8 @@ from repro.opencl.timing import analyze_site, time_launch
 
 def make_site(space, accesses, elem_bytes=4, width=1, is_store=False):
     site = SiteTrace(space, elem_bytes, width, is_store)
-    for lane, idx in accesses:
-        site.lanes.append(lane)
-        site.indices.append(idx)
+    pairs = np.array(list(accesses), dtype=np.int64).reshape(-1, 2)
+    site.append_block(pairs[:, 0], pairs[:, 1])
     return site
 
 

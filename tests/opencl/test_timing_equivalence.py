@@ -53,20 +53,21 @@ def sites(draw):
     bound = draw(st.sampled_from(INDEX_BOUNDS))
     index = st.integers(-bound, bound)
     stride = st.sampled_from(STRIDES)
-    # Per-item accesses: each lane's k-th visit at base_k + stride*lane,
-    # plus arbitrary (lane, index) pairs.
+    # Per-item accesses, one block as a per-item launch records them:
+    # each lane's k-th visit at base_k + stride*lane, plus arbitrary
+    # (lane, index) pairs.
     first = draw(st.integers(0, 300))
     lanes = range(first, first + draw(st.integers(0, 48)))
     step = draw(stride)
-    for base in draw(st.lists(index, max_size=3)):
-        for lane in lanes:
-            site.lanes.append(lane)
-            site.indices.append(base + step * lane)
-    for lane, idx in draw(
-        st.lists(st.tuples(st.integers(0, 600), index), max_size=40)
-    ):
-        site.lanes.append(lane)
-        site.indices.append(idx)
+    pairs = [
+        (lane, base + step * lane)
+        for base in draw(st.lists(index, max_size=3))
+        for lane in lanes
+    ]
+    pairs += draw(st.lists(st.tuples(st.integers(0, 600), index), max_size=40))
+    if pairs:
+        pairs = np.array(pairs, dtype=np.int64)
+        site.append_block(pairs[:, 0], pairs[:, 1])
     # Batch blocks: one per loop iteration over a lane range, indexed
     # affinely, by an arbitrary array, or by one broadcast scalar.
     for _ in range(draw(st.integers(0, 3))):
