@@ -731,6 +731,8 @@ class CompiledFilter:
         sink.charge("opencl_setup", setup_ns, cat="stage", buffers=n_buffers)
         metrics = self.profile.metrics
         metrics.inc("executor.launches.{}".format(trace.tier))
+        if trace.reused:
+            metrics.inc("executor.reused")
         metrics.histogram("kernel.launch_ns").observe(timing.kernel_ns)
         if self.device_key is not None:
             metrics.histogram(

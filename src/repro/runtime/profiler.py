@@ -366,6 +366,9 @@ def render_executor_summary(summary):
         "launches.{}={}".format(tier, count)
         for tier, count in sorted(tiers.items())
     ]
+    reused = summary.get("executor.reused", 0)
+    if reused:
+        parts.append("reused={}".format(reused))
     parts.append("cache.hits={}".format(hits))
     if disk_hits:
         parts.append("cache.disk_hits={}".format(disk_hits))
@@ -383,7 +386,8 @@ class ExecutionProfile:
 
     Counts live only in :attr:`metrics`: launches per execution tier
     (``executor.launches.<tier>``: ``batch`` / ``per-item`` /
-    ``sanitized``), kernel-cache traffic (``cache.*``) and transfer
+    ``sanitized``), launches that reused an earlier launch's results
+    (``executor.reused``), kernel-cache traffic (``cache.*``) and transfer
     volume (``transfer.bytes_*``), bumped by the glue, the marshaller
     and the kernel cache."""
 
@@ -407,6 +411,7 @@ class ExecutionProfile:
             "executor.launches": _under(
                 metrics.as_dict(), "executor.launches."
             ),
+            "executor.reused": metrics.get("executor.reused"),
             "cache.hits": metrics.get("cache.hits"),
             "cache.disk_hits": metrics.get("cache.disk_hits"),
             "cache.misses": metrics.get("cache.misses"),

@@ -13,7 +13,9 @@ source where the kernel is eligible.
   the condition is read, traced and bounds-checked each time, and the
   test's ops are charged each time;
 - integer vector ``/`` and ``%`` truncate as C does, and a quotient
-  wraps to the lane width.
+  wraps to the lane width;
+- a load in an operand that may be skipped (a ``?:`` arm, the right
+  side of ``&&``) is checked, read and traced only when it runs.
 """
 
 import numpy as np
@@ -48,8 +50,9 @@ def every_tier(kernel, make_args, global_size, local_size):
     assert runs["sanitized"][0].tier == "sanitized"
     if kernel.untraced_source is not None:
         time_launch(runs["per-item"][0], GTX580)
+        kernel.results.clear()  # so the hit runs the untraced source
         runs["untraced"] = hit = run(tier="per-item", model=GTX580)
-        assert hit[0].timing is not None
+        assert hit[0].timing is not None and not hit[0].reused
     if kernel.batch_supported:
         runs["batch"] = run(tier="batch")
         assert runs["batch"][0].tier == "batch"
@@ -257,3 +260,45 @@ def test_integer_vector_division_truncates(op, divisor, lane, want):
     assert runs.keys() == {"per-item", "sanitized", "untraced"}
     for tier, (_trace, buffers) in runs.items():
         assert buffers["y"].tolist() == [want] * 4, tier
+
+
+# -- lazy loads short-circuit ---------------------------------------------------
+
+LAZY_LOAD = """
+__kernel void k(__global int* y, __global const float* x, int n) {{
+    int i = get_global_id(0);
+    y[i] = {};
+}}
+"""
+
+
+def four_of_eight():
+    # x holds 4 elements and 8 items run: items 4..7 must skip the load.
+    x = np.array([1.5, -2.0, 3.0, 0.0], dtype=np.float32)
+    return {"y": np.zeros(8, dtype=np.int32), "x": x}, {"n": 4}
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        ("(i < n && x[i] > 0.0f) ? 1 : 0", [1, 0, 1, 0, 0, 0, 0, 0]),
+        ("i < n ? (int)x[i] : -1", [1, -2, 3, 0, -1, -1, -1, -1]),
+    ],
+    ids=["right-of-and", "select-arm"],
+)
+def test_skipped_load_is_neither_read_nor_traced_nor_checked(value, want):
+    kernel = compiled(LAZY_LOAD.format(value))
+    assert kernel.batch_reason == "memory access on a lazily-evaluated path"
+    (site,) = [s for s, meta in kernel.site_meta.items() if not meta[3]]
+    runs = every_tier(kernel, four_of_eight, 8, 4)
+    assert runs.keys() == {"per-item", "sanitized", "untraced"}
+    buffers, scalars = four_of_eight()
+    runs["auto"] = kernel.launch(buffers, scalars, 8, 4), buffers
+    assert runs["auto"][0].tier == "per-item"
+    for tier, (trace, buffers) in runs.items():
+        assert buffers["y"].tolist() == want, tier
+    # The sanitized launch raised no BoundsFault, and every traced
+    # launch read x once per item below n.
+    for tier in ("per-item", "sanitized", "auto"):
+        lanes, indices = runs[tier][0].sites[site].arrays()
+        assert lanes.tolist() == indices.tolist() == [0, 1, 2, 3], tier

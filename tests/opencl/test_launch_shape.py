@@ -24,7 +24,10 @@ Four groups of checks:
 - untraced hits: a hit writes what a traced launch writes and records
   no site, only an unguarded per-item hit given its device model runs
   untraced, a disk-loaded kernel does so without codegen, and its
-  timing answers for that model alone.
+  timing answers for that model alone. Each of these launches new
+  contents, or empties the kernel's launch-result memo first, so that
+  no launch here reuses an earlier one's results
+  (``tests/opencl/test_launch_reuse.py``).
 """
 
 import collections
@@ -440,7 +443,7 @@ def test_every_memo_hit_equals_a_fresh_analysis(target, fresh_analyses, monkeypa
         )
         # Not vacuous: every app repeats a shape of a shape-fixed kernel.
         assert len(hits) > before, name
-    # The tiled apps' repeats ran untraced.
+    # The tiled apps' repeats ran no traced code.
     assert any(trace.timing is not None for trace in hits)
 
 
@@ -580,15 +583,16 @@ TILED_APPS = ["mosaic", "nbody-double", "nbody-single", "parboil-cp", "parboil-m
 
 
 def hit_after_traced_launch(compiled, seed=1):
-    """Launch ``compiled`` traced, time it on the GTX 580, then launch
-    it again on copies of the same inputs: ``(traced, hit, timing,
-    traced buffers, hit buffers)``."""
+    """Launch ``compiled`` traced, time it on the GTX 580, empty its
+    launch-result memo, then launch it again on copies of the same
+    inputs: ``(traced, hit, timing, traced buffers, hit buffers)``."""
     traced_buffers, scalars = random_args(compiled.kernel, seed)
     hit_buffers = {name: buf.copy() for name, buf in traced_buffers.items()}
     traced = compiled.launch(
         traced_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580
     )
     timed = time_launch(traced, GTX580)
+    compiled.results.clear()  # so the hit runs the untraced source
     hit = compiled.launch(hit_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580)
     return traced, hit, timed, traced_buffers, hit_buffers
 
@@ -602,6 +606,7 @@ def assert_hit_runs_untraced(compiled):
     traced, hit, timed, traced_buffers, hit_buffers = hit_after_traced_launch(compiled)
     assert traced.timing is None and traced.sites.keys() == compiled.site_meta.keys()
     assert hit.tier == "per-item"
+    assert not hit.reused
     assert hit.sites == {}
     assert hit.timing is timed
     assert time_launch(hit, GTX580) is timed
@@ -655,14 +660,17 @@ def test_only_an_unguarded_memo_hit_given_its_model_runs_untraced():
     compiled = CompiledKernel(kernel(BARRIER_REVERSE))
     assert compiled.untraced_source is not None
 
-    def launched(n=16, **options):
-        y, x = np.zeros(32, np.float32), np.arange(32, dtype=np.float32)
+    def launched(n=16, start=0, **options):
+        y = np.zeros(32, np.float32)
+        x = np.arange(start, start + 32, dtype=np.float32)
         return compiled.launch({"y": y, "x": x}, {"n": n}, 32, 16, **options)
 
     miss = launched(model=GTX580)
     assert_full_trace(miss, compiled)
     time_launch(miss, GTX580)
-    assert launched(model=GTX580).timing is not None
+    # New contents at the timed shape: not reused, but untraced.
+    hit = launched(start=1, model=GTX580)
+    assert hit.timing is not None and not hit.reused
     guard = LaunchGuard(SanitizerConfig(), compiled.kernel.name)
     for trace in (
         launched(model=GTX580, guard=guard),
@@ -673,18 +681,31 @@ def test_only_an_unguarded_memo_hit_given_its_model_runs_untraced():
         assert_full_trace(trace, compiled)
 
 
-def test_batch_memo_hit_records_a_full_trace():
+def axpb_batch_launch(compiled, fill):
+    y, x = np.zeros(16, np.float32), np.full(16, fill, np.float32)
+    trace = compiled.launch({"y": y, "x": x}, {"a": 2.0, "b": 1}, 16, 8, model=GTX580)
+    return trace, y
+
+
+def test_batch_launch_of_new_contents_at_a_timed_shape_records_a_full_trace():
     compiled = CompiledKernel(kernel(AXPB))
     assert compiled.batch_supported and compiled.untraced_source is None
-    for _ in range(2):
-        y, x = np.zeros(16, np.float32), np.ones(16, np.float32)
-        trace = compiled.launch(
-            {"y": y, "x": x}, {"a": 2.0, "b": 1}, 16, 8, model=GTX580
-        )
-        assert trace.tier == "batch"
+    for fill in (1.0, 2.0):
+        trace, _y = axpb_batch_launch(compiled, fill)
+        assert trace.tier == "batch" and not trace.reused
         assert_full_trace(trace, compiled)
         time_launch(trace, GTX580)
     assert len(compiled.timings) == 1
+
+
+def test_identical_batch_launch_reuses():
+    compiled = CompiledKernel(kernel(AXPB))
+    first, want = axpb_batch_launch(compiled, 1.0)
+    timed = time_launch(first, GTX580)
+    trace, y = axpb_batch_launch(compiled, 1.0)
+    assert trace.tier == "batch" and trace.reused
+    assert trace.sites == {} and trace.timing is timed
+    assert y.tobytes() == want.tobytes()
 
 
 def test_disk_loaded_kernel_runs_untraced_without_codegen():

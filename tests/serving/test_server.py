@@ -21,23 +21,23 @@ STEPS = 2
 MAX_ITEMS = 128
 
 
-def spec(name, benchmark="jg-series-single", tenant="default", **kw):
+def spec(name, benchmark="jg-series-single", tenant="default", steps=STEPS, **kw):
     return SessionSpec(
         name=name,
         benchmark=benchmark,
         tenant=tenant,
         scale=SCALE,
-        steps=STEPS,
+        steps=steps,
         **kw,
     )
 
 
-def solo_checksum(benchmark):
+def solo_checksum(benchmark, steps=STEPS):
     return run_configuration(
         BENCHMARKS[benchmark],
         "gtx580",
         scale=SCALE,
-        steps=STEPS,
+        steps=steps,
         max_sim_items=MAX_ITEMS,
     ).checksum
 
@@ -122,19 +122,30 @@ def test_session_deadline_aborts_and_journals(tmp_path):
     assert got2["checksum"] == solo_checksum("mosaic")
 
 
+# Deep enough that the mosaic sessions cannot finish before the drain:
+# every item after the first repeats its inputs, and a launch that
+# repeats them runs in a few milliseconds.
+DRAIN_STEPS = {"jg-series-single": STEPS, "mosaic": 400}
+
+
 def test_drain_then_resume_restores_every_session(tmp_path):
     cfg = fleet_config(serve_dir=str(tmp_path), max_concurrency=2)
     daemon = ServeDaemon(cfg)
     specs = [
-        spec("s0", "jg-series-single"),
-        spec("s1", "mosaic"),
-        spec("s2", "mosaic"),
-        spec("s3", "jg-series-single"),
+        spec(name, bench, steps=DRAIN_STEPS[bench])
+        for name, bench in (
+            ("s0", "jg-series-single"),
+            ("s1", "mosaic"),
+            ("s2", "mosaic"),
+            ("s3", "jg-series-single"),
+        )
     ]
     report = daemon.serve(specs, drain_after_ms=200)
     assert report["drained"]
     states = {n: s["state"] for n, s in report["sessions"].items()}
     assert all(v in ("completed", "drained") for v in states.values())
+    # The drain landed mid-stream.
+    assert "drained" in states.values()
     # New work is refused while draining.
     _, rejection = daemon.try_submit(spec("late"))
     assert rejection is not None and rejection.code == "draining"
@@ -144,7 +155,7 @@ def test_drain_then_resume_restores_every_session(tmp_path):
     assert {s.name for s in resumed} == {s.name for s in specs}
     report2 = daemon2.serve(resumed)
     assert report2["counts"] == {"completed": 4}
-    want = {b: solo_checksum(b) for b in ("jg-series-single", "mosaic")}
+    want = {b: solo_checksum(b, steps) for b, steps in DRAIN_STEPS.items()}
     for s in specs:
         assert report2["sessions"][s.name]["checksum"] == want[s.benchmark]
 
