@@ -11,10 +11,9 @@ NDRange. It produces two things:
 - a :class:`LaunchTrace`: per-straight-line-segment operation counts and
   a per-access-site memory trace (which work-item touched which address,
   in which order), from which :mod:`repro.opencl.timing` derives
-  coalescing, bank-conflict, cache, and broadcast behavior. When
-  :func:`shape_fixed` proves the trace a function of the launch shape,
-  the trace carries that shape, and the timing model analyses each
-  shape once.
+  coalescing, bank-conflict, cache, and broadcast behavior. The trace
+  carries its launch shape and a digest of the buffers' contents, and
+  the timing model analyses each such launch once per device.
 
 Kernels also compile to one whole-NDRange NumPy function (the batch
 tier): :class:`_BatchCodegen` subclasses the per-item codegen, so all
@@ -84,7 +83,7 @@ def resolve_exec_tier(explicit=None):
 # Bump when CompiledKernel.artifact()'s shape or the generated sources
 # change: a mismatched on-disk kernel artifact is treated as a cache
 # miss, never deserialized.
-DISK_ARTIFACT_VERSION = 9
+DISK_ARTIFACT_VERSION = 10
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +159,19 @@ class LaunchTrace:
         self.op_cycles = dict.fromkeys(_OP_KINDS, 0)
         self.sites = {}
         self.barriers = 0
-        # A shape-fixed kernel's launch carries its launch shape and the
-        # kernel's timing memo, which answers a shape timed before.
+        # The launch shape plus a digest of the buffers' contents, and
+        # the kernel's timing memo, which answers a launch timed before.
         self.shape = None
         self.memo = None
-        # An untraced launch, a memo hit, carries the memo's timing and
-        # the DeviceModel it was looked up for, and records no sites. A
-        # reused launch is one too, and ran no item or batch code.
+        # A reused launch carries the memo's timing and the DeviceModel
+        # it was looked up for, records no sites and ran no item or
+        # batch code.
         self.timing = None
         self.model = None
-        self.reused = False
+
+    @property
+    def reused(self):
+        return self.timing is not None
 
     @property
     def work_groups(self):
@@ -364,12 +366,8 @@ class _Codegen:
     With ``sanitize=True`` the emitted code additionally calls a
     per-site checker ``_ck<site>(index[, value])`` *before* every memory
     access and a watchdog tick ``_wd()`` at the top of every loop
-    iteration. With ``traced=False`` it records nothing: no trace
-    appends, no segment counter bumps, and neither ``_segc`` nor the
-    ``_ti`` appenders among its parameters; a launch whose
-    timing the memo already holds runs it. The op-count segments and
-    access sites are identical in every mode, so instrumented launches
-    report the same profile.
+    iteration. The op-count segments and access sites are identical
+    either way, so instrumented launches report the same profile.
 
     A per-item vector value is a Python list, so a loaded vector holds
     its values as in C; arithmetic on vectors runs on NumPy arrays of
@@ -401,10 +399,9 @@ class _Codegen:
     VRESULT = "({}).tolist()"
     PRIVATE_SHAPE = "{}"
 
-    def __init__(self, kernel, sanitize=False, traced=True):
+    def __init__(self, kernel, sanitize=False):
         self.kernel = kernel
         self.sanitize = sanitize
-        self.traced = traced
         self.lines = []
         self.indent = 1
         self.temp = 0
@@ -440,12 +437,9 @@ class _Codegen:
 
     def _segment(self):
         """Current op-count accumulator; opens a new segment (with its
-        counter bump emitted, when traced) when none is active."""
+        counter bump emitted) when none is active."""
         if self.current_segment is None:
-            if self.traced:
-                self.emit(
-                    "_segc[{}] += {}".format(len(self.segments), self._lane_count())
-                )
+            self.emit("_segc[{}] += {}".format(len(self.segments), self._lane_count()))
             self.current_segment = dict.fromkeys(_OP_KINDS, 0)
             self.segments.append(self.current_segment)
         return self.current_segment
@@ -708,7 +702,7 @@ class _Codegen:
                 steps.append("_ck{}({})".format(e.site, idx_var))
             steps.append(self._load_form(e, array, idx_var))
             read = len(steps) - 1
-            if traced and self.traced:
+            if traced:
                 steps.append(self._trace(e.site, idx_var))
             return "({})[{}]".format(", ".join(steps), read)
         temp = self.fresh()
@@ -716,7 +710,7 @@ class _Codegen:
         if self.sanitize:
             self.emit("_ck{}({})".format(e.site, idx_var))
         self.emit("{} = {}".format(temp, self._load_form(e, array, idx_var)))
-        if traced and self.traced:
+        if traced:
             self.emit(self._trace(e.site, idx_var))
         return temp
 
@@ -898,7 +892,7 @@ class _Codegen:
             value = val_var
         array = _bufname(s.array, s.space)
         self.emit(self._store_form(s, array, idx_var, value))
-        if s.space is not K.Space.PRIVATE and self.traced:
+        if s.space is not K.Space.PRIVATE:
             self.emit(self._trace(s.site, idx_var))
 
     def _store_form(self, s, array, index, value):
@@ -941,17 +935,15 @@ class _Codegen:
             self.emit("if False:")
             self.emit("    yield 0")
         params = (
-            ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp"]
-            + (["_segc"] if self.traced else [])
+            ["_gid", "_lid", "_grp", "_lsz", "_gsz", "_ngrp", "_segc"]
             + args
             + [
                 _bufname(a.name, a.space)
                 for a in self.kernel.arrays
                 if a.space is K.Space.LOCAL
             ]
+            + ["_ti{}".format(site) for site in sorted(self.sites)]
         )
-        if self.traced:
-            params += ["_ti{}".format(site) for site in sorted(self.sites)]
         if self.sanitize:
             params += ["_wd"] + [
                 "_ck{}".format(site) for site in sorted(self.sites)
@@ -1046,14 +1038,11 @@ class _Ineligible(Exception):
     """The kernel cannot run on the batch tier; ``str`` is the reason."""
 
 
-def _expr_varying(e, varying, lane_ids=True):
-    """Conservative: may ``e`` depend on a seed, given the ``varying``
-    variables? A memory read is always a seed. With ``lane_ids`` the
-    work-item ids are seeds too, and the question is whether ``e`` may
-    evaluate differently across work-items."""
+def _expr_varying(e, varying):
+    """Conservative: may ``e`` evaluate differently across work-items?"""
 
     def dep(x):
-        return _expr_varying(x, varying, lane_ids)
+        return _expr_varying(x, varying)
 
     if isinstance(e, K.KConst):
         return False
@@ -1061,7 +1050,7 @@ def _expr_varying(e, varying, lane_ids=True):
         return e.name in varying
     if isinstance(e, K.KCall):
         if e.name in _VARYING_WORKITEM:
-            return lane_ids
+            return True
         if e.name in _WORKITEM_FUNCS:
             return False
         return any(dep(a) for a in e.args)
@@ -1082,11 +1071,8 @@ def _expr_varying(e, varying, lane_ids=True):
     return True
 
 
-def _varying_vars(kernel, lane_ids=True):
-    """Fixpoint of the set of variables that may depend on a seed: on
-    a work-item id or a memory read (lanes differ), or with
-    ``lane_ids=False`` on a memory read alone (buffer contents
-    differ)."""
+def _varying_vars(kernel):
+    """Fixpoint of the set of variables that may differ across lanes."""
     varying = set()
 
     def visit(stmts):
@@ -1096,20 +1082,17 @@ def _varying_vars(kernel, lane_ids=True):
                 if (
                     s.name not in varying
                     and s.init is not None
-                    and _expr_varying(s.init, varying, lane_ids)
+                    and _expr_varying(s.init, varying)
                 ):
                     varying.add(s.name)
                     changed = True
             elif isinstance(s, K.KAssign):
-                if s.name not in varying and _expr_varying(
-                    s.value, varying, lane_ids
-                ):
+                if s.name not in varying and _expr_varying(s.value, varying):
                     varying.add(s.name)
                     changed = True
             elif isinstance(s, K.KFor):
                 if s.var not in varying and any(
-                    _expr_varying(b, varying, lane_ids)
-                    for b in (s.lo, s.hi, s.step)
+                    _expr_varying(b, varying) for b in (s.lo, s.hi, s.step)
                 ):
                     varying.add(s.var)
                     changed = True
@@ -1124,63 +1107,6 @@ def _varying_vars(kernel, lane_ids=True):
     while visit(kernel.body):
         pass
     return varying
-
-
-def _has_access(*exprs):
-    return any(
-        isinstance(sub, (K.KLoad, K.KImageLoad))
-        for e in exprs
-        for sub in K.walk_exprs(e)
-    )
-
-
-def _trace_inputs(stmt):
-    """The expressions of ``stmt`` that decide what a launch records,
-    each with the reason a memory-dependent one declines."""
-    if isinstance(stmt, K.KIf):
-        yield stmt.cond, "memory-dependent branch"
-    elif isinstance(stmt, K.KWhile):
-        yield stmt.cond, "memory-dependent loop bound"
-    elif isinstance(stmt, K.KFor):
-        # The fixpoint marks the variable when a bound depends on
-        # memory and when the body assigns it a value that does.
-        yield K.KVar(stmt.var, None), "memory-dependent loop bound"
-    elif isinstance(stmt, K.KStore):
-        yield stmt.index, "memory-dependent index"
-    for e in K.walk_stmt_exprs(stmt):
-        if isinstance(e, K.KLoad):
-            yield e.index, "memory-dependent index"
-        elif isinstance(e, K.KImageLoad):
-            yield e.coord, "memory-dependent index"
-        elif isinstance(e, K.KSelect) and _has_access(e.then, e.otherwise):
-            yield e.cond, "memory-dependent lazy access"
-        elif (
-            isinstance(e, K.KBin) and e.op in ("&&", "||") and _has_access(e.right)
-        ):
-            yield e.left, "memory-dependent lazy access"
-
-
-def shape_fixed(kernel):
-    """Is every launch's trace fixed by its launch shape?
-
-    The shape is the global and local size, ``index_base`` and the
-    scalar arguments. The trace, every site's lanes and indices and
-    every segment count, is a function of the shape, whatever the
-    buffers hold, when no value read from memory decides an ``if`` or
-    ``while`` condition, a ``for`` bound, an access index or image
-    coordinate, or the condition guarding a lazily evaluated access (a
-    ``?:`` arm, the right side of ``&&``/``||``). Values read from
-    memory may still flow into other values and into stores. The
-    fixpoint is the batch tier's, seeded by memory reads alone.
-
-    Returns ``(True, "")`` or ``(False, reason)``.
-    """
-    dependent = _varying_vars(kernel, lane_ids=False)
-    for stmt in K.walk_stmts(kernel.body):
-        for e, reason in _trace_inputs(stmt):
-            if _expr_varying(e, dependent, lane_ids=False):
-                return False, reason
-    return True, ""
 
 
 class _BatchCodegen(_Codegen):
@@ -1792,12 +1718,10 @@ def _exec_source(source, label, function):
     return namespace[function]
 
 
-def _generate(kernel, fixed):
+def _generate(kernel):
     """Codegen for a site-assigned kernel: the stored fields of a
     :class:`CompiledKernel`. The batch source is None when the kernel
-    declines the batch tier, and ``batch_reason`` says why. A per-item
-    kernel whose trace is ``fixed`` by its launch shape also gets an
-    untraced source, which answers the launches the memo has timed."""
+    declines the batch tier, and ``batch_reason`` says why."""
     source, segments, sites = _Codegen(kernel).generate()
     _count_codegen()
     try:
@@ -1812,16 +1736,6 @@ def _generate(kernel, fixed):
     else:
         _count_codegen()
         batch_reason = ""
-    untraced_source = None
-    if batch_source is None and fixed:
-        untraced, untraced_segments, untraced_sites = _Codegen(
-            kernel, traced=False
-        ).generate()
-        _count_codegen()
-        # The same safety net: a hit answers with the traced launch's
-        # timing, so it must run the same segments and sites.
-        if (untraced_segments, untraced_sites) == (segments, sites):
-            untraced_source = untraced
     return {
         "source": source,
         "segments": segments,
@@ -1829,7 +1743,6 @@ def _generate(kernel, fixed):
         "sanitized_source": None,
         "batch_source": batch_source,
         "batch_reason": batch_reason,
-        "untraced_source": untraced_source,
     }
 
 
@@ -1838,8 +1751,8 @@ class CompiledKernel:
 
     Everything about the kernel is decided at construction: the
     per-item source (its segments and sites are the timing model's
-    inputs), the batch source or the reason the kernel declines the
-    batch tier, and whether a launch's trace is fixed by its shape.
+    inputs), and the batch source or the reason the kernel declines the
+    batch tier.
     Compiled kernels are shared across concurrent serving sessions via
     the content-addressed cache, so after construction only the lazy
     builds below mutate one (under a lock), plus the timing memo.
@@ -1853,10 +1766,7 @@ class CompiledKernel:
         disk = stored is not None
         if not disk:
             K.assign_sites(kernel)
-        # Cheap, so not stored: a disk-loaded kernel decides it too.
-        self.shape_fixed, self.shape_reason = shape_fixed(kernel)
-        if not disk:
-            stored = _generate(kernel, self.shape_fixed)
+            stored = _generate(kernel)
         self.kernel = kernel
         self.source = stored["source"]
         self.segments = stored["segments"]
@@ -1866,12 +1776,10 @@ class CompiledKernel:
         self.sanitized_source = stored["sanitized_source"]
         self.batch_source = stored["batch_source"]
         self.batch_reason = stored["batch_reason"]
-        # Runs the per-item launches whose timing the memo holds.
-        self.untraced_source = stored["untraced_source"]
-        # (launch shape, DeviceModel) -> KernelTiming, filled by
-        # timing.time_launch. Sessions sharing this kernel share it:
-        # each lookup and store is one dict operation, so a race at
-        # worst analyses one shape twice.
+        # (launch shape + buffer digest, DeviceModel) -> KernelTiming,
+        # filled by timing.time_launch. Sessions sharing this kernel
+        # share it: each lookup and store is one dict operation, so a
+        # race at worst analyses one launch twice.
         self.timings = {}
         # (tier, launch shape) -> (digest of the buffers, the stored-to
         # buffers' contents afterwards) of the last launch that may be
@@ -1905,7 +1813,6 @@ class CompiledKernel:
             "sanitized_source": self.sanitized_source,
             "batch_source": self.batch_source,
             "batch_reason": self.batch_reason,
-            "untraced_source": self.untraced_source,
         }
 
     @classmethod
@@ -2014,10 +1921,8 @@ class CompiledKernel:
                 launch given it may be reused: when its buffers hold
                 what the last such launch of its tier and shape held,
                 and the memo has that launch's timing on ``model``, it
-                copies that launch's outputs and runs nothing. Otherwise
-                an unguarded per-item launch whose timing on ``model``
-                the memo already holds runs the untraced item function.
-                Either trace records no sites and carries that timing.
+                copies that launch's outputs and runs nothing; its trace
+                records no sites and carries that timing.
 
         Returns a :class:`LaunchTrace`.
         """
@@ -2056,14 +1961,10 @@ class CompiledKernel:
             index_base,
             tuple(_scalar_bits(v) for v in scalar_args),
         )
-        reusable = guard is None and model is not None
-        if reusable:
-            digest = _digest(buffer_args)
-        if self.shape_fixed or reusable:
-            # A declined kernel's trace is a function of its shape and
-            # its buffers' contents.
-            trace.shape = shape if self.shape_fixed else shape + (digest,)
-            trace.memo = self.timings
+        # The trace is a function of the shape and the buffers' contents.
+        digest = _digest(buffer_args)
+        trace.shape = shape + (digest,)
+        trace.memo = self.timings
 
         # The "device" span's args; "tier" is filled in per tier.
         span_args = dict(
@@ -2081,7 +1982,7 @@ class CompiledKernel:
         if guard is None and index_base == 0 and tier in ("auto", "batch"):
             batch_fn = self._batch_callable()
         slot = None
-        if reusable:
+        if guard is None and model is not None:
             slot = ("batch" if batch_fn else "per-item", shape), digest
             if self._reuse(trace, slot, model, buffers, tracer, span_args):
                 return trace
@@ -2101,35 +2002,25 @@ class CompiledKernel:
         local_specs = [a for a in kernel.arrays if a.space is K.Space.LOCAL]
         n_groups = global_size // local_size
 
-        if guard is None and model is not None and self.untraced_source is not None:
-            # One dict read, so a concurrent memo clear cannot lose it.
-            trace.timing = self.timings.get((trace.shape, model))
-        if trace.timing is not None:
-            # A memo hit: the untraced item function records nothing.
-            trace.model = model
-            item_fn = self._function(":untraced", self.untraced_source, "_item")
-            lead, tail = buffer_args + scalar_args, []
-            step_gids = None
+        seg_counts, site_traces = self._records()
+        sorted_sites = sorted(site_traces)
+        # Each site's bound append takes the element index; the
+        # scheduler records which item ran each step, and how far
+        # every site's list had grown when the step ended.
+        index_lists = [[] for _ in sorted_sites]
+        tail = [indices.append for indices in index_lists]
+        step_gids, step_ends = [], []
+        # Guarded launches run the instrumented item code with one
+        # checker per site plus the watchdog tick.
+        if guard is not None:
+            trace.tier = "sanitized"
+            item_fn = self._sanitized_item()
+            tail += [guard.tick] + self._make_checkers(
+                guard, sorted_sites, buffers, local_size
+            )
         else:
-            seg_counts, site_traces = self._records()
-            sorted_sites = sorted(site_traces)
-            # Each site's bound append takes the element index; the
-            # scheduler records which item ran each step, and how far
-            # every site's list had grown when the step ended.
-            index_lists = [[] for _ in sorted_sites]
-            tail = [indices.append for indices in index_lists]
-            step_gids, step_ends = [], []
-            # Guarded launches run the instrumented item code with one
-            # checker per site plus the watchdog tick.
-            if guard is not None:
-                trace.tier = "sanitized"
-                item_fn = self._sanitized_item()
-                tail += [guard.tick] + self._make_checkers(
-                    guard, sorted_sites, buffers, local_size
-                )
-            else:
-                item_fn = self._item()
-            lead = [seg_counts] + buffer_args + scalar_args
+            item_fn = self._item()
+        lead = [seg_counts] + buffer_args + scalar_args
 
         span_args["tier"] = trace.tier
         with tracer.span("device", cat="executor", **span_args):
@@ -2169,17 +2060,14 @@ class CompiledKernel:
                             stopped += 1
                         except IndexError as err:
                             raise self._out_of_bounds(err) from err
-                        if step_gids is not None:
-                            step_gids.append(item[0])
-                            step_ends.extend(map(len, index_lists))
+                        step_gids.append(item[0])
+                        step_ends.extend(map(len, index_lists))
                     if guard is not None:
                         guard.phase_check(group, len(next_live), stopped)
                     if next_live:
                         trace.barriers += 1
                     live = next_live
 
-        if trace.timing is not None:
-            return self._keep(slot, trace, buffers)
         _append_runs(
             [site_traces[site] for site in sorted_sites],
             index_lists,
@@ -2204,11 +2092,12 @@ class CompiledKernel:
         last = self.results.get(key)  # one dict read
         if last is None or last[0] != digest:
             return False
-        trace.timing = self.timings.get((trace.shape, model))
-        if trace.timing is None:
+        # One dict read, so a concurrent memo clear cannot lose it.
+        timing = self.timings.get((trace.shape, model))
+        if timing is None:
             return False
         trace.tier = span_args["tier"] = key[0]
-        trace.model, trace.reused = model, True
+        trace.timing, trace.model = timing, model
         with tracer.span("device", cat="executor", reused=True, **span_args):
             for name, stored in last[1]:
                 np.copyto(buffers[name], stored)
@@ -2228,7 +2117,7 @@ class CompiledKernel:
 
     def _records(self):
         """A fresh segment counter list and one empty
-        :class:`SiteTrace` per access site, for a traced launch."""
+        :class:`SiteTrace` per access site, for a launch that runs."""
         # site_meta holds SiteTrace's arguments: (space, elem_bytes,
         # width, is_store, array).
         site_traces = {site: SiteTrace(*meta) for site, meta in self.site_meta.items()}

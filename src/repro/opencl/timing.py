@@ -27,10 +27,10 @@ The roofline combination ``max(compute, memory) + launch overhead``
 keeps the model monotone and explainable; the tests in
 ``tests/opencl/test_timing.py`` pin each effect individually.
 
-A kernel whose trace is fixed by its launch shape
-(:func:`repro.opencl.executor.shape_fixed`) is timed once per shape and
-device: :func:`time_launch` answers a repeated shape from the kernel's
-timing memo instead of re-analysing an identical trace.
+A launch is timed once per launch shape, buffer contents and device:
+its trace carries the shape and a digest of the contents, and
+:func:`time_launch` answers a repeated one from the kernel's timing memo
+instead of re-analysing an identical trace.
 """
 
 from __future__ import annotations
@@ -231,22 +231,24 @@ def analyze_site(trace_site, device, local_size):
 _BASE_CYCLES = {"int": 1.0, "long": 2.0, "fp": 1.0, "cmp": 1.0, "branch": 1.0}
 
 
-# Timings one kernel's memo keeps, one per (launch shape, device). A
-# full memo is emptied: a guard for a long-lived process that meets ever
-# new shapes, since no repobench round fills a memo past 8 (DESIGN §5e).
+# Timings one kernel's memo keeps, one per (launch shape + buffer digest,
+# device). A full memo is emptied: a guard for a long-lived process that
+# meets ever new launches, since a repobench check pass and round fill a
+# memo to at most 8 (fleet-journal, seed 29) and `repro figures all
+# --scale 0.3` to 7 (DESIGN §5e).
 MEMO_CAPACITY = 64
 
 
 def time_launch(trace, device):
     """The simulated time of one kernel launch on ``device``.
 
-    A launch that carries its shape (a shape-fixed kernel's) is
-    answered from its kernel's memo, a dict from ``(launch shape,
-    DeviceModel)`` to :class:`KernelTiming`, when that shape was timed
-    on ``device`` before. The answer is exact: the trace is a function
-    of the shape, so analysing it again would give the same timing. A
-    launch that ran untraced already carries its memo's timing, which
-    answers only for the device it was looked up for.
+    A launch is answered from its kernel's memo, a dict from ``(launch
+    shape + buffer digest, DeviceModel)`` to :class:`KernelTiming`, when
+    a launch of that shape and those contents was timed on ``device``
+    before. The answer is exact: the trace is a function of the kernel,
+    the shape and the contents, so analysing it again would give the
+    same timing. A reused launch already carries its memo's timing,
+    which answers only for the device it was looked up for.
     """
     if trace.timing is not None:
         if device != trace.model:
@@ -274,7 +276,7 @@ def analyze_launch(trace, device):
     roofline. The uncached path of :func:`time_launch`."""
     if trace.timing is not None:
         raise ValueError(
-            "launch of {} ran untraced: it has no trace to analyse".format(
+            "launch of {} was reused: it has no trace to analyse".format(
                 trace.kernel_name
             )
         )

@@ -13,8 +13,7 @@ The simulator's own generated Python is pinned the same way: for the
 cases above, each app's map kernel with local-memory staging off, and
 pipeline3's three stages plus their fused kernel,
 ``tests/golden/executor_sources.json`` holds SHA-256 digests of the
-per-item, sanitized, batch and untraced sources and the batch decline
-reason.
+per-item, sanitized and batch sources and the batch decline reason.
 
 The snapshots exist to catch *unintentional* codegen drift — a change
 that shows up here but was not meant to alter generated code is a bug.
@@ -189,7 +188,6 @@ def test_golden_executor_sources(case):
         "sanitized": _digest(compiled.sanitized_source),
         "batch": _digest(compiled.batch_source),
         "batch_reason": compiled.batch_reason,
-        "untraced": _digest(compiled.untraced_source),
     }
     golden = (
         json.loads(EXECUTOR_GOLDEN.read_text())
@@ -232,22 +230,13 @@ def test_per_item_sources_read_with_item_and_trace_with_appends(case):
     memoryview of its array and a vector as a list (no ``.item(`` call
     at all, no NumPy scalar from ``a[i]``), call a wrap helper only in
     a range check's overflow branch, and record an access with one
-    bound append of its index (no per-access tuple, no global id). The
-    untraced source, where a kernel has one, is the per-item source
-    without its appends and segment counters."""
+    bound append of its index (no per-access tuple, no global id)."""
     compiled = _compiled(case)
     appenders = ["_ti{}".format(site) for site in sorted(compiled.site_meta)]
     for source in (compiled.source, compiled.sanitized_source):
         header, body = source.split("\n", 1)
         assert APPENDER.findall(header) == appenders
         assert all(len(APPENDER.findall(line)) <= 1 for line in body.splitlines())
-    sources = [compiled.source, compiled.sanitized_source]
-    if compiled.untraced_source is not None:
-        sources.append(compiled.untraced_source)
-        assert not APPENDER.search(compiled.untraced_source)
-        assert "_segc" not in compiled.untraced_source
-    for source in sources:
-        header, body = source.split("\n", 1)
         assert ".item(" not in body
         assert not WRAP_CALL.search(OVERFLOW_BRANCH.sub("", body))
         assert "(_gid," not in body.replace(" ", "")

@@ -10,8 +10,8 @@ from repro.opencl.executor import CompiledKernel
 def captured_traces(monkeypatch):
     """A list that collects the :class:`LaunchTrace` of every kernel
     launch the compiled glue times while the test runs. Every launch
-    runs traced (no ``model``), so a memo hit records its full trace
-    too."""
+    runs (no ``model``, so none is reused) and records its full
+    trace."""
     traces = []
     real = glue.time_launch
     real_launch = CompiledKernel.launch

@@ -1,9 +1,8 @@
 """The per-item source forms, pinned by the values kernels store.
 
-Three groups, each a set of small OpenCL C kernels run on every tier
-that accepts them: the per-item and sanitized sources, the untraced
-source (a timing-memo hit) where the kernel has one, and the batch
-source where the kernel is eligible.
+Each group is a set of small OpenCL C kernels run on every tier that
+accepts them: the per-item and sanitized sources, and the batch source
+where the kernel is eligible.
 
 - pure integer expressions are computed once: one kernel per way a
   held temp could go stale or escape, each storing the C values, with
@@ -23,9 +22,7 @@ import pytest
 
 from repro.errors import BoundsFault
 from repro.opencl.clc import compile_opencl_source
-from repro.opencl.device import GTX580
 from repro.opencl.executor import CompiledKernel
-from repro.opencl.timing import time_launch
 from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
 
 
@@ -44,15 +41,10 @@ def every_tier(kernel, make_args, global_size, local_size):
         return trace, buffers
 
     runs = {
-        "per-item": run(tier="per-item", model=GTX580),
+        "per-item": run(tier="per-item"),
         "sanitized": run(guard=LaunchGuard(SanitizerConfig(), kernel.kernel.name)),
     }
     assert runs["sanitized"][0].tier == "sanitized"
-    if kernel.untraced_source is not None:
-        time_launch(runs["per-item"][0], GTX580)
-        kernel.results.clear()  # so the hit runs the untraced source
-        runs["untraced"] = hit = run(tier="per-item", model=GTX580)
-        assert hit[0].timing is not None and not hit[0].reused
     if kernel.batch_supported:
         runs["batch"] = run(tier="batch")
         assert runs["batch"][0].tier == "batch"
@@ -123,8 +115,6 @@ def test_held_temps_keep_c_values(body, value, spelled):
     runs = every_tier(
         kernel, lambda: ({"y": np.zeros(ITEMS, dtype=np.int32)}, {}), ITEMS, ITEMS
     )
-    # A memo hit where batch declines, the batch tier where it does not.
-    assert len(runs) == 3
     want = [value(i) for i in range(ITEMS)]
     for tier, (_trace, buffers) in runs.items():
         assert buffers["y"].tolist() == want, tier
@@ -182,8 +172,7 @@ def test_load_in_condition_is_read_and_traced_every_test():
     # C: x[0..2] are 1 and x[3] is 0, so the loop stops at k = 3
     # whatever the (8 - k) factor; read once, x[0] * (8 - k) runs to 8.
     kernel = compiled(LOAD_IN_CONDITION)
-    assert kernel.shape_reason == "memory-dependent loop bound"
-    assert kernel.untraced_source is None and not kernel.batch_supported
+    assert not kernel.batch_supported
     # site_meta: (space, elem_bytes, width, is_store, array)
     (site,) = [s for s, meta in kernel.site_meta.items() if not meta[3]]
     runs = every_tier(kernel, ones_then_zero, 4, 4)
@@ -210,11 +199,11 @@ def test_load_in_condition_is_bounds_checked_every_test():
 @pytest.mark.parametrize("n", [1, 10, 100])
 def test_while_test_is_charged_every_iteration(n):
     kernel = compiled(COUNTED)
-    assert kernel.untraced_source is not None and not kernel.batch_supported
+    assert not kernel.batch_supported
     runs = every_tier(
         kernel, lambda: ({"y": np.zeros(4, dtype=np.int32)}, {"n": n}), 4, 4
     )
-    assert runs.keys() == {"per-item", "sanitized", "untraced"}
+    assert runs.keys() == {"per-item", "sanitized"}
     for tier, (trace, buffers) in runs.items():
         assert buffers["y"].tolist() == [n] * 4, tier
     # Per item: n + 1 tests, each a `<` plus the loop's compare and
@@ -257,7 +246,7 @@ def test_integer_vector_division_truncates(op, divisor, lane, want):
         return {"y": np.zeros(4, dtype=np.float32), "x": x}, {}
 
     runs = every_tier(kernel, args, 4, 4)
-    assert runs.keys() == {"per-item", "sanitized", "untraced"}
+    assert runs.keys() == {"per-item", "sanitized"}
     for tier, (_trace, buffers) in runs.items():
         assert buffers["y"].tolist() == [want] * 4, tier
 
@@ -291,7 +280,7 @@ def test_skipped_load_is_neither_read_nor_traced_nor_checked(value, want):
     assert kernel.batch_reason == "memory access on a lazily-evaluated path"
     (site,) = [s for s, meta in kernel.site_meta.items() if not meta[3]]
     runs = every_tier(kernel, four_of_eight, 8, 4)
-    assert runs.keys() == {"per-item", "sanitized", "untraced"}
+    assert runs.keys() == {"per-item", "sanitized"}
     buffers, scalars = four_of_eight()
     runs["auto"] = kernel.launch(buffers, scalars, 8, 4), buffers
     assert runs["auto"][0].tier == "per-item"

@@ -17,9 +17,10 @@ Four groups of checks:
   the local size, ``index_base``, the tier, a device not timed yet;
 - guarded launches and launches without a model never reuse, and a
   fault draw comes before the lookup;
-- the memo's bound and lifetime, the digest in a declined kernel's
-  timing key, the ``reused`` arg of the ``device`` span, and threads
-  sharing one kernel, as serving sessions do.
+- the memo's bound and lifetime, reuse by a disk-loaded kernel
+  without codegen, the digest in the timing key, the ``reused`` arg of
+  the ``device`` span, and threads sharing one kernel, as serving
+  sessions do.
 """
 
 import pickle
@@ -33,24 +34,21 @@ import repro.opencl.timing as timing
 from repro.errors import LaunchFault
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.device import DEVICES, GTX580
-from repro.opencl.executor import CompiledKernel
+from repro.opencl.executor import CompiledKernel, codegen_compiles
 from repro.opencl.kernel_cache import cached_compile_kernel, reset_global_cache
 from repro.opencl.timing import time_launch
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
 from repro.runtime.tracing import Tracer
-from tests.opencl.test_launch_shape import (
-    DECLINES,
+from tests.opencl.launchutil import (
+    AXPB,
+    GATHER,
     GLOBAL_SIZE,
     GOLDEN_SOURCES,
     LOCAL_SIZE,
+    kernel,
     random_args,
 )
-
-
-def kernel(source):
-    (ir,) = compile_opencl_source(source).values()
-    return ir
 
 
 def copies(buffers):
@@ -95,13 +93,6 @@ def test_hit_writes_what_a_fresh_traced_launch_writes(path):
 
 
 # -- every difference misses ---------------------------------------------------------
-
-AXPB = """
-__kernel void k(__global float* y, __global const float* x, float a, int b) {
-    int i = get_global_id(0);
-    y[i] = a * x[i] + (float)b;
-}
-"""
 
 
 def _nan(payload):
@@ -243,7 +234,7 @@ def test_caller_changes_after_a_launch_do_not_reach_the_stored_copy():
     assert again["buffers"]["y"].tobytes() == want.tobytes()
 
 
-# -- bound, lifetime, declined kernels, the span ---------------------------------------
+# -- bound, lifetime, the timing key, the span -----------------------------------------
 
 
 def test_full_memo_is_emptied(monkeypatch):
@@ -276,7 +267,38 @@ def test_memo_is_absent_from_the_artifact_and_a_reset_cache():
     assert len(cached_compile_kernel(kernel(AXPB)).results) == 0
 
 
-def test_declined_kernel_times_each_content_once(monkeypatch):
+# Local memory and a barrier: no batch source, so it runs per-item.
+BARRIER_REVERSE = """
+__kernel void k(__global float* y, __global const float* x, float a, int b) {
+    __local float tile[8];
+    int lid = get_local_id(0);
+    int i = get_global_id(0);
+    tile[lid] = x[i];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    y[i] = a * tile[7 - lid] + (float)b;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, tier", [(AXPB, "batch"), (BARRIER_REVERSE, "per-item")]
+)
+def test_disk_loaded_kernel_reuses_without_codegen(source, tier):
+    art = CompiledKernel(kernel(source)).artifact()
+    before = codegen_compiles()
+    restored = CompiledKernel.from_artifact(pickle.loads(pickle.dumps(art)))
+    first = base_launch()
+    trace = run(restored, first)
+    assert trace.tier == tier and not trace.reused
+    timed = time_launch(trace, GTX580)
+    again = base_launch()
+    hit = run(restored, again)
+    assert hit.reused and hit.tier == tier and hit.timing is timed
+    assert_same_buffers(again["buffers"], first["buffers"])
+    assert codegen_compiles() == before
+
+
+def test_gather_kernel_times_each_content_once(monkeypatch):
     analysed = []
     real = timing.analyze_launch
 
@@ -285,8 +307,7 @@ def test_declined_kernel_times_each_content_once(monkeypatch):
         return real(trace, device)
 
     monkeypatch.setattr(timing, "analyze_launch", counting)
-    compiled = CompiledKernel(kernel(DECLINES["gather"][0]))
-    assert not compiled.shape_fixed
+    compiled = CompiledKernel(kernel(GATHER))
 
     def launched(first_index):
         idx = np.arange(16, dtype=np.int32)

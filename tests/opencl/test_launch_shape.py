@@ -1,39 +1,36 @@
-"""Launch shapes: which kernels record the same trace whatever their
-buffers hold, and the timing memo that answers a repeated shape.
+"""The timing memo: each launch's shape and contents are timed once
+per device.
 
-:func:`shape_fixed` decides statically whether a kernel's trace, every
-site's lanes and indices and every segment count, is a function of its
-launch shape (global size, local size, ``index_base`` and the scalar
-arguments). :func:`repro.opencl.timing.time_launch` then times each
-shape once per device and answers every later launch of it from the
-kernel's timing memo, and a per-item launch that the memo answers runs
-the kernel's untraced source.
+Every launch's trace carries its launch shape (global size, local
+size, ``index_base`` and the scalar arguments) plus a digest of its
+buffers' contents, and the trace is a function of the two.
+:func:`repro.opencl.timing.time_launch` times each such key once per
+device and answers every later launch of it from the kernel's timing
+memo.
 
 Four groups of checks:
 
-- the verdicts: one small kernel per decline reason, the ten apps'
-  kernels and the golden OpenCL-C snapshots;
-- soundness, written per kernel (:func:`assert_trace_ignores_contents`,
-  :func:`assert_tiers_time_alike`) so that any kernel source can feed
-  them: two launches at one shape over different random contents
-  record identical traces, on every tier the kernel runs;
+- the key has no tier: per-item, sanitized and batch launches of one
+  content time alike on every device, over the ten apps' kernels and
+  the golden OpenCL-C snapshots;
 - the memo itself: every hit equals a fresh analysis over the ten apps
-  on all four devices, the key is exact, the bound, the lifetime, the
-  number of fresh analyses, and straggler latency that never leaks into
-  the shared timing;
-- untraced hits: a hit writes what a traced launch writes and records
-  no site, only an unguarded per-item hit given its device model runs
-  untraced, a disk-loaded kernel does so without codegen, and its
-  timing answers for that model alone. Each of these launches new
-  contents, or empties the kernel's launch-result memo first, so that
-  no launch here reuses an earlier one's results
-  (``tests/opencl/test_launch_reuse.py``).
+  on all four devices, the key is exact and holds the contents of
+  guarded launches and launches without a device model too, the bound,
+  the lifetime, the number of fresh analyses, and straggler latency
+  that never leaks into the shared timing;
+- the key holds the contents, written per kernel
+  (:func:`assert_each_content_timed_once`) so that any kernel source
+  can feed it: two contents at one shape are timed apart, once each
+  per device, and a repeat of either is answered by its own timing,
+  over one small kernel per way memory moves a trace, RPES's table
+  gather, the ten apps' kernels and the golden snapshots;
+- around launch reuse (``tests/opencl/test_launch_reuse.py``): a batch
+  launch of new contents at a timed shape records a full trace, and a
+  reused launch's timing answers for its device model alone.
 """
 
 import collections
-import pathlib
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -41,259 +38,32 @@ import pytest
 import repro.backend.glue as glue
 import repro.opencl.timing as timing
 from repro.apps.registry import ALL_BENCHMARKS
-from repro.backend import kernel_ir as K
 from repro.evaluation.harness import run_configuration
 from repro.opencl.clc import compile_opencl_source
 from repro.opencl.device import DEVICES, GTX580
-from repro.opencl.executor import CompiledKernel, codegen_compiles, shape_fixed
+from repro.opencl.executor import CompiledKernel
 from repro.opencl.kernel_cache import cached_compile_kernel, reset_global_cache
 from repro.opencl.timing import analyze_launch, time_launch
 from repro.runtime.resilience import FaultInjector, FaultSpec
 from repro.runtime.sanitizer import LaunchGuard, SanitizerConfig
+from tests.opencl.launchutil import (
+    AXPB,
+    GATHER,
+    GLOBAL_SIZE,
+    GOLDEN_SOURCES,
+    LOCAL_SIZE,
+    kernel,
+    random_args,
+)
 from tests.opencl.test_kernel_cache_key import CONFIGS, compile_app
 from tests.runtime.test_latency_faults import frozen, saxpy_filter
-
-GOLDEN_SOURCES = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "golden").glob("*.cl")
-)
 
 # Small end-to-end runs: every app at its default steps.
 SCALE = 0.05
 MAX_SIM_ITEMS = 256
 
 
-def kernel(source):
-    (ir,) = compile_opencl_source(source).values()
-    return ir
-
-
-# -- verdicts ------------------------------------------------------------------
-
-DECLINES = {
-    "gather": (
-        """
-        __kernel void k(__global float* y, __global const int* idx,
-                        __global const float* x) {
-            int i = get_global_id(0);
-            y[i] = x[idx[i]];
-        }
-        """,
-        "memory-dependent index",
-    ),
-    "scatter": (
-        """
-        __kernel void k(__global float* y, __global const int* idx) {
-            int i = get_global_id(0);
-            y[idx[i]] = 1.0f;
-        }
-        """,
-        "memory-dependent index",
-    ),
-    # The index reads a variable that depends on memory only through
-    # an assignment later in the loop body: the fixpoint's second pass.
-    "loop-carried index": (
-        """
-        __kernel void k(__global float* y, __global const int* x) {
-            int i = get_global_id(0);
-            int j = 0;
-            for (int k = 0; k < 4; k++) {
-                y[i * 4 + j] = 1.0f;
-                j = x[k];
-            }
-        }
-        """,
-        "memory-dependent index",
-    ),
-    "image coordinate": (
-        """
-        __kernel void k(__read_only image2d_t t, __global float* y,
-                        __global const int* x) {
-            const sampler_t smp = CLK_NORMALIZED_COORDS_FALSE;
-            int i = get_global_id(0);
-            float4 texel = read_imagef(t, smp, (int2)(x[i], 0));
-            y[i] = texel.x;
-        }
-        """,
-        "memory-dependent index",
-    ),
-    "branch": (
-        """
-        __kernel void k(__global float* y, __global const float* x) {
-            int i = get_global_id(0);
-            if (x[i] > 0.0f) {
-                y[i] = 1.0f;
-            }
-        }
-        """,
-        "memory-dependent branch",
-    ),
-    "for bound": (
-        """
-        __kernel void k(__global float* y, __global const int* counts) {
-            int i = get_global_id(0);
-            float acc = 0.0f;
-            for (int k = 0; k < counts[i]; k++) {
-                acc = acc + 1.0f;
-            }
-            y[i] = acc;
-        }
-        """,
-        "memory-dependent loop bound",
-    ),
-    # The bounds are constants, but the per-item loop tests the variable
-    # the body assigns from memory: the trip count follows x.
-    "for variable assigned in the body": (
-        """
-        __kernel void k(__global float* y, __global const int* x) {
-            int i = get_global_id(0);
-            for (int k = 0; k < 4; k++) {
-                y[i] = 1.0f;
-                k = k + x[i];
-            }
-        }
-        """,
-        "memory-dependent loop bound",
-    ),
-    "while condition": (
-        """
-        __kernel void k(__global int* y, __global const int* limit) {
-            int i = get_global_id(0);
-            int k = 0;
-            while (k < limit[0]) {
-                k = k + 1;
-            }
-            y[i] = k;
-        }
-        """,
-        "memory-dependent loop bound",
-    ),
-    "select arm": (
-        """
-        __kernel void k(__global float* y, __global const int* flag,
-                        __global const float* a) {
-            int i = get_global_id(0);
-            y[i] = flag[i] > 0 ? a[i] : 0.0f;
-        }
-        """,
-        "memory-dependent lazy access",
-    ),
-    "short circuit": (
-        """
-        __kernel void k(__global int* y, __global const int* flag,
-                        __global const float* a) {
-            int i = get_global_id(0);
-            y[i] = flag[i] > 0 && a[i] > 0.0f;
-        }
-        """,
-        "memory-dependent lazy access",
-    ),
-}
-
-# Memory reaches only stored values: a select without an access in its
-# arms, and branches and indices on lane ids and scalars.
-STORED_VALUES_ONLY = """
-__kernel void k(__global float* y, __global const float* x, int n) {
-    int i = get_global_id(0);
-    if (i < n) {
-        float v = x[i];
-        float w = v > 0.5f ? v * 2.0f : v;
-        y[i] = w + x[i + 1];
-    }
-}
-"""
-
-
-@pytest.mark.parametrize("case", sorted(DECLINES))
-def test_decline_reason(case):
-    source, reason = DECLINES[case]
-    assert shape_fixed(kernel(source)) == (False, reason)
-
-
-def test_memory_reaching_only_stored_values_is_shape_fixed():
-    assert shape_fixed(kernel(STORED_VALUES_ONLY)) == (True, "")
-
-
-@pytest.mark.parametrize("config", ["default", "nolocal"])
-def test_app_kernels_are_shape_fixed_but_rpes_integrals(config):
-    verdicts = {}
-    for name in ALL_BENCHMARKS:
-        for ir, compiled in compile_app(name, device=GTX580, config=CONFIGS[config]):
-            verdicts[name, ir.name] = (compiled.shape_fixed, compiled.shape_reason)
-    assert ("pipeline3", "Pipe_scale__Pipe_smooth__Pipe_sharpen_kernel") in verdicts
-    declined = {key: v for key, v in verdicts.items() if v != (True, "")}
-    # RPES.integrals reads table[base + k], base = (int)(pair[3] * 0.25f).
-    assert declined == {
-        ("parboil-rpes", "RPES_integrals_kernel"): (False, "memory-dependent index")
-    }
-
-
-# -- soundness, per kernel -------------------------------------------------------
-
-# One launch shape for every kernel below: 40 items on 32 lanes in work-
-# groups of 16, every ``_len_<array>`` scalar 24, and room for 64
-# elements per item in every buffer.
-N_ITEMS, LENGTH, GLOBAL_SIZE, LOCAL_SIZE, SLACK = 40, 24, 32, 16, 64
-
-_DTYPES = {
-    "bool": np.bool_,
-    "char": np.int8,
-    "int": np.int32,
-    "long": np.int64,
-    "float": np.float32,
-    "double": np.float64,
-}
-
-
-def random_args(ir, seed):
-    """Buffers with random contents and the shape's scalars: positive
-    values, so no kernel divides by zero or stores a NaN, and floats up
-    to 64, so a float that reached an index would move it."""
-    rng = np.random.default_rng(seed)
-    buffers, scalars = {}, {}
-    for param in ir.params:
-        ktype = param.ktype
-        width = ktype.width if isinstance(ktype, K.KVector) else 1
-        base = ktype.base if isinstance(ktype, K.KVector) else ktype
-        dtype = _DTYPES[base.kind]
-        if param.is_pointer:
-            size = SLACK * width * max(N_ITEMS, LENGTH, GLOBAL_SIZE)
-            if base.is_float:
-                values = rng.uniform(0.5, 64.0, size)
-            else:
-                values = rng.integers(1, 100, size)
-            buffers[param.name] = values.astype(dtype)
-        elif param.name == "_n":
-            scalars[param.name] = N_ITEMS
-        else:
-            scalars[param.name] = 1.5 if base.is_float else LENGTH
-    return buffers, scalars
-
-
-def launch(compiled, seed, tier, sanitized=False):
-    buffers, scalars = random_args(compiled.kernel, seed)
-    guard = None
-    if sanitized:
-        guard = LaunchGuard(SanitizerConfig(), compiled.kernel.name)
-    return compiled.launch(
-        buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, tier=tier, guard=guard
-    )
-
-
-def assert_trace_ignores_contents(compiled):
-    """Two launches of one shape over different buffer contents record
-    the same shape stamp, op cycles and per-site lanes and indices, on
-    every tier the kernel runs."""
-    assert compiled.shape_fixed, compiled.shape_reason
-    tiers = ["per-item"] + (["batch"] if compiled.batch_supported else [])
-    for tier in tiers:
-        first, second = (launch(compiled, seed, tier) for seed in (1, 2))
-        assert first.tier == tier
-        assert first.shape == second.shape is not None
-        assert first.op_cycles == second.op_cycles, tier
-        assert first.sites.keys() == second.sites.keys()
-        for site, trace in first.sites.items():
-            for got, want in zip(second.sites[site].arrays(), trace.arrays()):
-                np.testing.assert_array_equal(got, want, err_msg=str((tier, site)))
+# -- the key has no tier -----------------------------------------------------------
 
 
 def assert_same_timing(got, want):
@@ -304,14 +74,23 @@ def assert_same_timing(got, want):
 
 def assert_tiers_time_alike(compiled):
     """The memo key has no tier: per-item, sanitized and batch launches
-    of one shape must time alike on every device."""
+    of one content must time alike on every device."""
+    buffers, scalars = random_args(compiled.kernel, 1)
+
+    def launch(tier, guard=None):
+        copies = {name: buf.copy() for name, buf in buffers.items()}
+        return compiled.launch(
+            copies, scalars, GLOBAL_SIZE, LOCAL_SIZE, tier=tier, guard=guard
+        )
+
     traces = [
-        launch(compiled, 1, "per-item"),
-        launch(compiled, 2, "per-item", sanitized=True),
+        launch("per-item"),
+        launch("per-item", LaunchGuard(SanitizerConfig(), compiled.kernel.name)),
     ]
     if compiled.batch_supported:
-        traces.append(launch(compiled, 3, "batch"))
+        traces.append(launch("batch"))
     assert traces[1].tier == "sanitized"
+    assert len({trace.shape for trace in traces}) == 1
     for device in DEVICES.values():
         want = analyze_launch(traces[0], device)
         for trace in traces[1:]:
@@ -320,63 +99,17 @@ def assert_tiers_time_alike(compiled):
 
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
 @pytest.mark.parametrize("config", ["default", "nolocal"])
-def test_app_traces_ignore_buffer_contents(config, name):
-    kernels = [
-        compiled
-        for _ir, compiled in compile_app(name, device=GTX580, config=CONFIGS[config])
-        if compiled.shape_fixed
-    ]
+def test_app_kernel_tiers_time_alike(config, name):
+    kernels = compile_app(name, device=GTX580, config=CONFIGS[config])
     assert kernels
-    for compiled in kernels:
-        assert_trace_ignores_contents(compiled)
+    for _ir, compiled in kernels:
         assert_tiers_time_alike(compiled)
 
 
 @pytest.mark.parametrize("path", GOLDEN_SOURCES, ids=[p.stem for p in GOLDEN_SOURCES])
-def test_golden_traces_ignore_buffer_contents(path):
-    for name, ir in compile_opencl_source(path.read_text()).items():
-        compiled = CompiledKernel(ir)
-        if name == "RPES_integrals_kernel":
-            assert compiled.shape_reason == "memory-dependent index"
-            continue
-        assert_trace_ignores_contents(compiled)
-        assert_tiers_time_alike(compiled)
-
-
-def test_rpes_gather_trace_follows_buffer_contents():
-    """The decline is needed: RPES's table index moves with its input."""
-    path = next(p for p in GOLDEN_SOURCES if p.stem == "parboil-rpes-gtx580")
-    (ir,) = compile_opencl_source(path.read_text()).values()
-    compiled = CompiledKernel(ir)
-    first, second = (launch(compiled, seed, "per-item") for seed in (1, 2))
-    assert first.shape is None
-    assert any(
-        not np.array_equal(trace.arrays()[1], second.sites[site].arrays()[1])
-        for site, trace in first.sites.items()
-    )
-
-
-def test_loop_variable_assigned_from_memory_moves_the_trace():
-    """The decline is needed: the body's assignment sets the trip count."""
-    compiled = CompiledKernel(kernel(DECLINES["for variable assigned in the body"][0]))
-    first, second = (
-        compiled.launch(
-            {"y": np.zeros(8, np.float32), "x": np.full(8, step, np.int32)},
-            {},
-            8,
-            4,
-            tier="per-item",
-        )
-        for step in (0, 2)
-    )
-    assert first.shape is None
-    assert first.op_cycles != second.op_cycles
-
-
-def test_stored_values_only_kernel_ignores_buffer_contents():
-    compiled = CompiledKernel(kernel(STORED_VALUES_ONLY))
-    assert_trace_ignores_contents(compiled)
-    assert_tiers_time_alike(compiled)
+def test_golden_kernel_tiers_time_alike(path):
+    for ir in compile_opencl_source(path.read_text()).values():
+        assert_tiers_time_alike(CompiledKernel(ir))
 
 
 # -- the memo ----------------------------------------------------------------------
@@ -403,7 +136,7 @@ DEVICE_TARGETS = ["cpu-6", "gtx580", "gtx8800", "hd5970"]
 
 @pytest.mark.parametrize("target", DEVICE_TARGETS)
 def test_every_memo_hit_equals_a_fresh_analysis(target, fresh_analyses, monkeypatch):
-    """A per-item hit ran untraced, so it is launched again, traced, on
+    """A reused hit ran nothing, so it is launched again, traced, on
     copies of its inputs, and that trace is analysed."""
     real = glue.time_launch
     real_launch = CompiledKernel.launch
@@ -441,9 +174,9 @@ def test_every_memo_hit_equals_a_fresh_analysis(target, fresh_analyses, monkeypa
         run_configuration(
             ALL_BENCHMARKS[name], target, scale=SCALE, max_sim_items=MAX_SIM_ITEMS
         )
-        # Not vacuous: every app repeats a shape of a shape-fixed kernel.
+        # Not vacuous: every app repeats a launch's shape and contents.
         assert len(hits) > before, name
-    # The tiled apps' repeats ran no traced code.
+    # Some repeats were reused and ran no code.
     assert any(trace.timing is not None for trace in hits)
 
 
@@ -460,14 +193,6 @@ def test_one_fresh_analysis_per_kernel(name, kernels, fresh_analyses, captured_t
     assert len(launched) == kernels
     assert all(count > 1 for count in launched.values())
     assert analysed == dict.fromkeys(launched, 1)
-
-
-AXPB = """
-__kernel void k(__global float* y, __global const float* x, float a, int b) {
-    int i = get_global_id(0);
-    y[i] = a * x[i] + (float)b;
-}
-"""
 
 
 def test_shape_key_holds_scalar_types_and_bits(fresh_analyses):
@@ -497,19 +222,35 @@ def test_shape_key_holds_scalar_types_and_bits(fresh_analyses):
     assert repeat is compiled.timings.get((shape, GTX580))
 
 
-def test_declined_kernel_is_analysed_every_launch(fresh_analyses):
-    compiled = CompiledKernel(kernel(DECLINES["gather"][0]))
-    buffers = {
-        "y": np.zeros(16, dtype=np.float32),
-        "idx": np.arange(16, dtype=np.int32),
-        "x": np.ones(16, dtype=np.float32),
-    }
-    for _ in range(3):
-        trace = compiled.launch(dict(buffers), {}, 16, 8)
-        assert trace.shape is None and trace.memo is None
-        time_launch(trace, GTX580)
+def test_guarded_and_modelless_launches_key_their_contents(fresh_analyses):
+    """Every launch's key holds its contents: the gather kernel,
+    launched guarded and without a device model on one content, is
+    analysed once per (contents, device), and new contents again."""
+    compiled = CompiledKernel(kernel(GATHER))
+
+    def launched(first_index, guarded):
+        idx = np.arange(16, dtype=np.int32)
+        idx[0] = first_index
+        buffers = {
+            "y": np.zeros(16, dtype=np.float32),
+            "idx": idx,
+            "x": np.arange(16, dtype=np.float32),
+        }
+        guard = LaunchGuard(SanitizerConfig(), "k") if guarded else None
+        return compiled.launch(buffers, {}, 16, 8, guard=guard)
+
+    traces = [launched(0, guarded) for guarded in (True, False) for _ in range(3)]
+    assert traces[0].tier == "sanitized"
+    for trace in traces:
+        assert trace.sites and not trace.reused
+        for device in (GTX580, DEVICES["gtx8800"]):
+            time_launch(trace, device)
+    assert len(fresh_analyses) == 2
+    other = launched(5, guarded=False)
+    assert other.shape[:-1] == traces[0].shape[:-1] and other.shape != traces[0].shape
+    time_launch(other, GTX580)
     assert len(fresh_analyses) == 3
-    assert len(compiled.timings) == 0
+    assert len(compiled.timings) == 3
 
 
 def test_full_memo_is_emptied(fresh_analyses, monkeypatch):
@@ -576,77 +317,184 @@ def test_straggler_latency_stays_out_of_the_shared_timing(monkeypatch):
         assert got == clean.kernel_ns + extra
 
 
-# -- memo hits run untraced ------------------------------------------------------
+# -- the key holds the contents ------------------------------------------------------
 
-# The per-item kernels of the tiled apps, at the default config.
-TILED_APPS = ["mosaic", "nbody-double", "nbody-single", "parboil-cp", "parboil-mriq"]
+# Kernels whose trace follows their buffers' contents: an index, a
+# branch, a trip count or a lazy access reads memory. Each records one
+# trace over positive contents and another over the same buffers zeroed.
+MOVES_WITH_CONTENTS = {
+    "gather": GATHER,
+    "scatter": """
+        __kernel void k(__global float* y, __global const int* idx) {
+            int i = get_global_id(0);
+            y[idx[i]] = 1.0f;
+        }
+        """,
+    # The index reads a variable that memory sets later in the loop body.
+    "loop-carried index": """
+        __kernel void k(__global float* y, __global const int* x) {
+            int i = get_global_id(0);
+            int j = 0;
+            for (int k = 0; k < 4; k++) {
+                y[i * 4 + j] = 1.0f;
+                j = x[k];
+            }
+        }
+        """,
+    "image coordinate": """
+        __kernel void k(__read_only image2d_t t, __global float* y,
+                        __global const int* x) {
+            const sampler_t smp = CLK_NORMALIZED_COORDS_FALSE;
+            int i = get_global_id(0);
+            float4 texel = read_imagef(t, smp, (int2)(x[i], 0));
+            y[i] = texel.x;
+        }
+        """,
+    "branch": """
+        __kernel void k(__global float* y, __global const float* x) {
+            int i = get_global_id(0);
+            if (x[i] > 0.0f) {
+                y[i] = 1.0f;
+            }
+        }
+        """,
+    "for bound": """
+        __kernel void k(__global float* y, __global const int* counts) {
+            int i = get_global_id(0);
+            float acc = 0.0f;
+            for (int k = 0; k < counts[i]; k++) {
+                acc = acc + 1.0f;
+            }
+            y[i] = acc;
+        }
+        """,
+    # The bounds are constants, but the body assigns the loop variable
+    # from memory: the trip count follows x.
+    "for variable assigned in the body": """
+        __kernel void k(__global float* y, __global const int* x) {
+            int i = get_global_id(0);
+            for (int k = 0; k < 4; k++) {
+                y[i] = 1.0f;
+                k = k + x[i];
+            }
+        }
+        """,
+    "while condition": """
+        __kernel void k(__global int* y, __global const int* limit) {
+            int i = get_global_id(0);
+            int k = 0;
+            while (k < limit[0]) {
+                k = k + 1;
+            }
+            y[i] = k;
+        }
+        """,
+    "select arm": """
+        __kernel void k(__global float* y, __global const int* flag,
+                        __global const float* a) {
+            int i = get_global_id(0);
+            y[i] = flag[i] > 0 ? a[i] : 0.0f;
+        }
+        """,
+    "short circuit": """
+        __kernel void k(__global int* y, __global const int* flag,
+                        __global const float* a) {
+            int i = get_global_id(0);
+            y[i] = flag[i] > 0 && a[i] > 0.0f;
+        }
+        """,
+}
+
+# Two devices per content: the key holds the device model too.
+MEMO_DEVICES = (GTX580, DEVICES["hd5970"])
 
 
-def hit_after_traced_launch(compiled, seed=1):
-    """Launch ``compiled`` traced, time it on the GTX 580, empty its
-    launch-result memo, then launch it again on copies of the same
-    inputs: ``(traced, hit, timing, traced buffers, hit buffers)``."""
-    traced_buffers, scalars = random_args(compiled.kernel, seed)
-    hit_buffers = {name: buf.copy() for name, buf in traced_buffers.items()}
-    traced = compiled.launch(
-        traced_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580
+def assert_each_content_timed_once(compiled, contents, fresh_analyses):
+    """Launch ``compiled`` (no model, so every launch runs and records
+    its trace) on each of two ``(buffers, scalars)`` at one shape. The
+    memo times each content once per device, and answers a repeat of
+    either with its own timing, which equals a fresh analysis of the
+    repeat's trace. Returns the first trace of each content."""
+
+    def launched(k):
+        buffers, scalars = contents[k]
+        copies = {name: buf.copy() for name, buf in buffers.items()}
+        return compiled.launch(copies, scalars, GLOBAL_SIZE, LOCAL_SIZE)
+
+    before = len(fresh_analyses)
+    first = [launched(0), launched(1)]
+    assert first[0].shape[:-1] == first[1].shape[:-1]
+    assert first[0].shape != first[1].shape
+    timed = {(k, d): time_launch(first[k], d) for k in (0, 1) for d in MEMO_DEVICES}
+    assert len(fresh_analyses) - before == 4
+    assert len(compiled.timings) == 4
+    for k in (1, 0):
+        again = launched(k)
+        assert again.shape == first[k].shape and not again.reused
+        for device in MEMO_DEVICES:
+            got = time_launch(again, device)
+            assert got is timed[k, device]
+            assert_same_timing(got, analyze_launch(again, device))
+    assert len(fresh_analyses) - before == 4
+    return first
+
+
+def trace_moved(first, second):
+    """Whether two traces differ in an op count or a site's lanes or
+    indices."""
+    if first.op_cycles != second.op_cycles or first.sites.keys() != second.sites.keys():
+        return True
+    return any(
+        not np.array_equal(got, want)
+        for site, trace in first.sites.items()
+        for got, want in zip(second.sites[site].arrays(), trace.arrays())
     )
-    timed = time_launch(traced, GTX580)
-    compiled.results.clear()  # so the hit runs the untraced source
-    hit = compiled.launch(hit_buffers, scalars, GLOBAL_SIZE, LOCAL_SIZE, model=GTX580)
-    return traced, hit, timed, traced_buffers, hit_buffers
 
 
-def assert_hit_runs_untraced(compiled):
-    """The second launch of a shape runs the untraced source: it writes
-    every buffer as the traced launch did, bit for bit, records no
-    site and carries the memo's timing."""
-    assert not re.search(r"\b_ti\d", compiled.untraced_source)
-    assert "_segc" not in compiled.untraced_source
-    traced, hit, timed, traced_buffers, hit_buffers = hit_after_traced_launch(compiled)
-    assert traced.timing is None and traced.sites.keys() == compiled.site_meta.keys()
-    assert hit.tier == "per-item"
-    assert not hit.reused
-    assert hit.sites == {}
-    assert hit.timing is timed
-    assert time_launch(hit, GTX580) is timed
-    for name, buf in traced_buffers.items():
-        assert hit_buffers[name].tobytes() == buf.tobytes(), name
+@pytest.mark.parametrize("case", sorted(MOVES_WITH_CONTENTS))
+def test_contents_that_move_the_trace_are_timed_apart(case, fresh_analyses):
+    compiled = CompiledKernel(kernel(MOVES_WITH_CONTENTS[case]))
+    positive, scalars = random_args(compiled.kernel, 1)
+    zeroed = {name: np.zeros_like(buf) for name, buf in positive.items()}
+    first = assert_each_content_timed_once(
+        compiled, [(positive, scalars), (zeroed, scalars)], fresh_analyses
+    )
+    # Not vacuous: a key without the contents would mix two traces.
+    assert trace_moved(*first)
 
 
-@pytest.mark.parametrize("name", TILED_APPS)
-def test_tiled_app_hits_run_untraced(name):
-    kernels = [
-        CompiledKernel(ir)
-        for ir, compiled in compile_app(name, device=GTX580, config=CONFIGS["default"])
-        if compiled.untraced_source is not None
-    ]
+def test_rpes_gather_trace_follows_buffer_contents(fresh_analyses):
+    """RPES's table index moves with its input, so its timing must
+    follow the contents: ``base = (int)(pair[3] * 0.25f)``."""
+    path = next(p for p in GOLDEN_SOURCES if p.stem == "parboil-rpes-gtx580")
+    (ir,) = compile_opencl_source(path.read_text()).values()
+    compiled = CompiledKernel(ir)
+    contents = [random_args(ir, seed) for seed in (1, 2)]
+    first, second = assert_each_content_timed_once(compiled, contents, fresh_analyses)
+    assert any(
+        not np.array_equal(trace.arrays()[1], second.sites[site].arrays()[1])
+        for site, trace in first.sites.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+@pytest.mark.parametrize("config", ["default", "nolocal"])
+def test_app_kernel_memo_times_each_content_once(config, name, fresh_analyses):
+    kernels = compile_app(name, device=GTX580, config=CONFIGS[config])
     assert kernels
-    for compiled in kernels:
-        assert_hit_runs_untraced(compiled)
+    for ir, _compiled in kernels:
+        contents = [random_args(ir, seed) for seed in (1, 2)]
+        assert_each_content_timed_once(CompiledKernel(ir), contents, fresh_analyses)
 
 
 @pytest.mark.parametrize("path", GOLDEN_SOURCES, ids=[p.stem for p in GOLDEN_SOURCES])
-def test_golden_hits_run_untraced(path):
+def test_golden_kernel_memo_times_each_content_once(path, fresh_analyses):
     for ir in compile_opencl_source(path.read_text()).values():
-        compiled = CompiledKernel(ir)
-        if compiled.untraced_source is None:
-            # Only a shape-fixed kernel without a batch source has one.
-            assert not compiled.shape_fixed or compiled.batch_supported
-            continue
-        assert_hit_runs_untraced(compiled)
+        contents = [random_args(ir, seed) for seed in (1, 2)]
+        assert_each_content_timed_once(CompiledKernel(ir), contents, fresh_analyses)
 
 
-BARRIER_REVERSE = """
-__kernel void k(__global float* y, __global const float* x, int n) {
-    __local float tile[16];
-    int lid = get_local_id(0);
-    int i = get_global_id(0);
-    tile[lid] = x[i];
-    barrier(CLK_LOCAL_MEM_FENCE);
-    y[i] = tile[15 - lid] * 2.0f;
-}
-"""
+# -- around launch reuse -------------------------------------------------------------
 
 
 def assert_full_trace(trace, compiled):
@@ -654,31 +502,6 @@ def assert_full_trace(trace, compiled):
     assert trace.sites.keys() == compiled.site_meta.keys()
     assert all(site.accesses for site in trace.sites.values())
     assert trace.total_ops() > 0
-
-
-def test_only_an_unguarded_memo_hit_given_its_model_runs_untraced():
-    compiled = CompiledKernel(kernel(BARRIER_REVERSE))
-    assert compiled.untraced_source is not None
-
-    def launched(n=16, start=0, **options):
-        y = np.zeros(32, np.float32)
-        x = np.arange(start, start + 32, dtype=np.float32)
-        return compiled.launch({"y": y, "x": x}, {"n": n}, 32, 16, **options)
-
-    miss = launched(model=GTX580)
-    assert_full_trace(miss, compiled)
-    time_launch(miss, GTX580)
-    # New contents at the timed shape: not reused, but untraced.
-    hit = launched(start=1, model=GTX580)
-    assert hit.timing is not None and not hit.reused
-    guard = LaunchGuard(SanitizerConfig(), compiled.kernel.name)
-    for trace in (
-        launched(model=GTX580, guard=guard),
-        launched(),  # no model
-        launched(model=DEVICES["gtx8800"]),  # a device not timed yet
-        launched(n=8, model=GTX580),  # a shape not timed yet
-    ):
-        assert_full_trace(trace, compiled)
 
 
 def axpb_batch_launch(compiled, fill):
@@ -689,13 +512,14 @@ def axpb_batch_launch(compiled, fill):
 
 def test_batch_launch_of_new_contents_at_a_timed_shape_records_a_full_trace():
     compiled = CompiledKernel(kernel(AXPB))
-    assert compiled.batch_supported and compiled.untraced_source is None
+    assert compiled.batch_supported
     for fill in (1.0, 2.0):
         trace, _y = axpb_batch_launch(compiled, fill)
         assert trace.tier == "batch" and not trace.reused
         assert_full_trace(trace, compiled)
         time_launch(trace, GTX580)
-    assert len(compiled.timings) == 1
+    # One timing per content.
+    assert len(compiled.timings) == 2
 
 
 def test_identical_batch_launch_reuses():
@@ -708,22 +532,14 @@ def test_identical_batch_launch_reuses():
     assert y.tobytes() == want.tobytes()
 
 
-def test_disk_loaded_kernel_runs_untraced_without_codegen():
-    art = CompiledKernel(kernel(BARRIER_REVERSE)).artifact()
-    before = codegen_compiles()
-    restored = CompiledKernel.from_artifact(pickle.loads(pickle.dumps(art)))
-    assert restored.untraced_source == art["untraced_source"] is not None
-    assert_hit_runs_untraced(restored)
-    assert codegen_compiles() == before
-
-
-def test_untraced_launch_times_only_on_its_model():
-    compiled = CompiledKernel(kernel(BARRIER_REVERSE))
-    _traced, hit, _timed, _bufs, _hit_bufs = hit_after_traced_launch(compiled)
-    assert hit.timing is not None
+def test_reused_launch_times_only_on_its_model():
+    compiled = CompiledKernel(kernel(AXPB))
+    time_launch(axpb_batch_launch(compiled, 1.0)[0], GTX580)
+    hit, _y = axpb_batch_launch(compiled, 1.0)
+    assert hit.reused
     with pytest.raises(ValueError, match="GTX 580"):
         time_launch(hit, DEVICES["gtx8800"])
-    with pytest.raises(ValueError, match="untraced"):
+    with pytest.raises(ValueError, match="reused"):
         analyze_launch(hit, GTX580)
 
 
@@ -740,10 +556,14 @@ __kernel void k(__global int* y, int n) {
 """
 
 
-def test_empty_bodies_run_untraced():
+def test_empty_bodies_run_per_item_and_sanitized():
     # An empty while body still holds its condition test; an empty if
-    # body gets pass, traced and untraced alike.
+    # body gets pass, in the per-item and sanitized sources alike.
     compiled = CompiledKernel(kernel(EMPTY_BODIES))
+    for guard in (None, LaunchGuard(SanitizerConfig(), "k")):
+        y = np.zeros(8, dtype=np.int32)
+        trace = compiled.launch({"y": y}, {"n": 3}, 8, 4, tier="per-item", guard=guard)
+        assert trace.tier == ("per-item" if guard is None else "sanitized")
+        assert y.tolist() == [3] * 8
     assert compiled.source.count("pass") == 1
-    assert compiled.untraced_source.count("pass") == 1
-    assert_hit_runs_untraced(compiled)
+    assert compiled.sanitized_source.count("pass") == 1

@@ -165,8 +165,7 @@ def test_observability_doc_covers_fusion_instrumentation():
 
 def _executor_reasons():
     """Every decline reason ``opencl/executor.py`` can report: each
-    ``_Ineligible(...)`` literal (the batch tier) and each reason
-    ``_trace_inputs`` yields (the timing memo)."""
+    ``_Ineligible(...)`` literal (the batch tier)."""
     tree = ast.parse(
         (ROOT / "src" / "repro" / "opencl" / "executor.py").read_text()
     )
@@ -175,10 +174,6 @@ def _executor_reasons():
         called = getattr(node, "func", None)
         if getattr(called, "id", None) == "_Ineligible":
             reasons.add(node.args[0].value)
-        elif isinstance(node, ast.FunctionDef) and node.name == "_trace_inputs":
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Yield):
-                    reasons.add(sub.value.elts[1].value)
     return reasons
 
 
@@ -186,7 +181,6 @@ def test_observability_doc_names_every_decline_reason():
     doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
     reasons = _executor_reasons()
     assert "local-memory tiling" in reasons
-    assert "memory-dependent branch" in reasons
     missing = sorted(r for r in reasons if "`{}`".format(r) not in doc)
     assert not missing, (
         "decline reasons undocumented in OBSERVABILITY.md: "
